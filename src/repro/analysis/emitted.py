@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..faults import FAULTS
 from .diagnostics import ERROR, WARNING, Diagnostic, Loc
@@ -106,7 +106,7 @@ def verify_class(cls: type) -> List[Diagnostic]:
     available, independently recomputes the expected dispatch patterns from
     ``cls.SPEC`` / ``cls.DECOMPOSITION``.
     """
-    source = getattr(cls, "__repro_source__", None) or getattr(cls, "__source__", None)
+    source = getattr(cls, "__repro_source__", None)
     name = cls.__name__
     if source is None:
         return [

@@ -40,7 +40,8 @@ tier's shared-node registry and is likewise not charged to the counter
 
 The generated source is self-contained: it imports only stable ``repro``
 entry points, reconstructs its specification literally, and can be written
-to disk and inspected (``compile_relation`` attaches it as ``__source__``).
+to disk and inspected (``compile_relation`` attaches it as
+``__repro_source__``).
 """
 
 from __future__ import annotations
@@ -881,7 +882,9 @@ class _RelationCompiler:
             "# List-layout helpers.  Each has an instrumented walk charging",
             "# exactly one access per visited entry (hit included, full length",
             "# on a miss) and an index-backed fast path for when the counter is",
-            "# off; both maintain the side index.",
+            "# off; the mutating ones maintain the side index and append one",
+            "# uncounted journal entry per mutation so the emitted rollback",
+            "# blocks can restore the entry exactly.",
             "def _l_get(c, k):",
             "    if _C.enabled:",
             "        n = 0",
@@ -896,50 +899,6 @@ class _RelationCompiler:
             "    return _MISS if e is None else e[1]",
             "",
             "",
-            "def _l_put(c, k, v):",
-            "    if _C.enabled:",
-            "        n = 0",
-            "        for e in c:",
-            "            n += 1",
-            "            if e[0] == k:",
-            "                _C.accesses += n",
-            "                e[1] = v",
-            "                return",
-            "        _C.accesses += n",
-            "    else:",
-            "        e = c.idx.get(k)",
-            "        if e is not None:",
-            "            e[1] = v",
-            "            return",
-            "    e = [k, v]",
-            "    c.append(e)",
-            "    c.idx[k] = e",
-            "",
-            "",
-            "def _l_del(c, k):",
-            "    if _C.enabled:",
-            "        n = 0",
-            "        for i, e in enumerate(c):",
-            "            n += 1",
-            "            if e[0] == k:",
-            "                _C.accesses += n",
-            "                del c.idx[k]",
-            "                c[i] = c[-1]",
-            "                c.pop()",
-            "                return True",
-            "        _C.accesses += n",
-            "        return False",
-            "    e = c.idx.pop(k, None)",
-            "    if e is None:",
-            "        return False",
-            "    c[c.index(e)] = c[-1]",
-            "    c.pop()",
-            "    return True",
-            "",
-            "",
-            "# Journal-aware list helpers: identical probing and counting to",
-            "# _l_put/_l_del, plus one uncounted journal append per mutation so",
-            "# the emitted rollback blocks can restore the entry exactly.",
             "def _l_put_j(c, k, v, j):",
             "    if _C.enabled:",
             "        n = 0",
@@ -2150,11 +2109,11 @@ def compile_relation(
     with :class:`~repro.core.reference.ReferenceRelation` and
     :class:`~repro.decomposition.relation.DecomposedRelation`; construct
     instances with ``cls(enforce_fds=True)``.  The generated module source
-    is attached as ``cls.__repro_source__`` (``cls.__source__`` remains as
-    an alias), the compiler's metadata as ``cls.__repro_meta__``, the
-    originating objects as ``cls.SPEC`` and ``cls.DECOMPOSITION``, and the
-    source is registered with :mod:`linecache` so tracebacks from emitted
-    code show real generated lines.
+    is attached as ``cls.__repro_source__``, the compiler's metadata as
+    ``cls.__repro_meta__``, the originating objects as ``cls.SPEC`` and
+    ``cls.DECOMPOSITION``, and the source is registered with
+    :mod:`linecache` so tracebacks from emitted code show real generated
+    lines.
 
     Classes are cached by ``(spec, canonical_shape(decomposition),
     class name, FD default, size classes)`` — a repeated compilation
@@ -2196,7 +2155,6 @@ def compile_relation(
     namespace: Dict[str, object] = {"__name__": module_name}
     exec(compile(source, filename, "exec"), namespace)
     cls = namespace[class_name]
-    cls.__source__ = source  # type: ignore[attr-defined]
     cls.__repro_source__ = source  # type: ignore[attr-defined]
     cls.__repro_meta__ = meta  # type: ignore[attr-defined]
     cls.SPEC = spec  # type: ignore[attr-defined]

@@ -9,22 +9,30 @@ layout, compile, done.  This module closes the loop *online*:
   Steady-state cost is O(1) per operation — one counter bump, one deque
   append and one RNG draw — and O(capacity + window) memory, so profiling
   can stay on in production;
-* :class:`RetunePolicy` — when to re-tune: a minimum operation count
+* :class:`RetunePolicy` — when to re-tune (a minimum operation count
   between tunings plus a total-variation drift threshold on the observed
-  operation mix;
+  operation mix) and how an attempt is paced;
 * :class:`LiveRelation` — a :class:`~repro.core.interface.RelationInterface`
   facade that owns the current backing implementation (reference,
   interpreted or compiled), samples every operation, re-runs the autotuner
   when the mix drifts, and **migrates between layouts via α**: both the old
   and the new layout provably represent the same relation, so migration is
-  enumerate-the-old + reinsert-into-the-new (optionally spread over a
-  dual-write window for large instances), checked for α-equivalence, then
-  an atomic swap of the backing object — every reference through the facade
-  sees the new layout;
+  enumerate-the-old + reinsert-into-the-new, checked for α-equivalence,
+  then an atomic swap of the backing object — every reference through the
+  facade sees the new layout;
 * :func:`open_relation` (re-exported as ``repro.open``) — the one factory
   behind every tier: ``repro.open(spec, layout, tier=..., tune=...,
   live=...)`` replaces reaching for ``ReferenceRelation``,
   ``DecomposedRelation``, ``compile_relation`` or ``synthesize`` directly.
+
+Every re-tune is one *attempt* that a single driver runs through fixed
+stages — tune → pick (skipping quarantined layouts) → guard → compile →
+copy → verify → swap — with one failure handler.  *Background* mode runs
+only the tune stage on a daemon thread; *dual-write* mode paces the copy
+stage at ``migrate_batch`` rows per later operation.  The failure policy
+is fixed: a failed stage keeps the old backing serving, quarantines the
+layout, backs off ``min_ops·2^k`` operations after the *k*-th consecutive
+failure, and opens the circuit breaker at three.
 
 The re-tune trace is synthesized from what the facade knows: inserts
 reconstructing the **current contents** (the data distribution) followed by
@@ -49,7 +57,6 @@ from .autotuner.trace import Trace
 from .autotuner.tuner import TuningResult, autotune
 from .codegen import compile_relation
 from .core.errors import (
-    FaultInjected,
     LiveRelationError,
     MigrationError,
     ReproError,
@@ -103,6 +110,24 @@ Operation = PyTuple
 #: forcing a full-relation migration on big instances, not to second-guess
 #: a clear drift.
 _GUARD_PAYBACK_WINDOWS = 16
+
+#: Instances at least this large migrate through a dual-write window
+#: instead of one synchronous copy; ``retune(dual_write=...)`` overrides it.
+DUAL_WRITE_THRESHOLD = 100_000
+
+#: Consecutive failed attempts that open the circuit breaker.
+_CIRCUIT_FAILURES = 3
+
+#: How the failure handler reports a failed stage: error type, and what
+#: failed (formatted with the winner's layout).
+_STAGE_ERRORS = {
+    "tune": (RetuneFailed, "autotune search"),
+    "compile": (RetuneFailed, "compiling winner {!r}"),
+    "copy": (MigrationError, "copying rows into {!r}"),
+    "dual-write": (MigrationError, "dual-write into migration target {!r}"),
+    "verify": (MigrationError, "α-verification of {!r}"),
+    "swap": (MigrationError, "swapping in {!r}"),
+}
 
 
 def _op_key(op: Operation) -> PyTuple:
@@ -251,7 +276,7 @@ class SamplingTraceRecorder:
 
 
 class RetunePolicy:
-    """When a :class:`LiveRelation` re-tunes itself.
+    """When a :class:`LiveRelation` re-tunes itself, and how an attempt is paced.
 
     Attributes:
         auto: run :meth:`LiveRelation.maybe_retune` after every operation.
@@ -259,51 +284,32 @@ class RetunePolicy:
             the deterministic-test configuration.
         min_ops: minimum operations since the last tune before the drift
             check fires (also the warm-up length of the very first tune,
-            whose drift is ``inf`` by construction).
+            whose drift is ``inf`` by construction, and the base of the
+            failure backoff).
         drift_threshold: total-variation distance on the operation mix at or
             above which a re-tune triggers.
-        dual_write_threshold: instances at least this large migrate through
-            an incremental dual-write window instead of one synchronous
-            enumerate + reinsert pass.
         migrate_batch: rows copied per subsequent operation while a
             dual-write window is open.
-        background: run the autotuner search on a daemon thread instead of
-            blocking the triggering operation; the winner is compiled and
-            migrated on the caller's thread once the search completes (the
-            swap itself never happens off-thread).
+        background: run the tune stage (the autotuner search) on a daemon
+            thread instead of blocking the triggering operation; the later
+            stages run on the caller's thread once the search completes
+            (the swap itself never happens off-thread).
         retune_timeout: watchdog limit, in seconds, on a background tune.
             A search still running past this deadline is abandoned — its
             eventual result is discarded — and counted as a failure.
-        max_failures: consecutive re-tune failures after which the circuit
-            breaker opens: no further re-tunes run until
-            :meth:`LiveRelation.reset_circuit`.
-        backoff_factor: exponential backoff base — after the *k*-th
-            consecutive failure the next automatic re-tune waits at least
-            ``min_ops * backoff_factor ** k`` operations.
-        quarantine: remember the layouts whose compile/migrate/verify
-            failed and never pick them as a re-tune winner again (the best
-            non-quarantined candidate wins instead).
-        guard: apply the migration cost/benefit guard — when the estimated
-            cost of migrating every live row to the winning layout exceeds
-            the savings the winner is projected to earn over the next
-            re-tune window, the swap is skipped and the current layout
-            keeps serving.  The decision (either way) is recorded on the
-            report's ``guard`` field and surfaced by
-            :meth:`LiveRelation.live_stats`.
+
+    The failure policy (quarantine, ``min_ops·2^k`` backoff, a circuit
+    breaker at three consecutive failures) is fixed, and instances of at
+    least :data:`DUAL_WRITE_THRESHOLD` rows take a dual-write window.
     """
 
     __slots__ = (
         "auto",
         "min_ops",
         "drift_threshold",
-        "dual_write_threshold",
         "migrate_batch",
         "background",
         "retune_timeout",
-        "max_failures",
-        "backoff_factor",
-        "quarantine",
-        "guard",
     )
 
     def __init__(
@@ -311,14 +317,9 @@ class RetunePolicy:
         auto: bool = True,
         min_ops: int = 512,
         drift_threshold: float = 0.3,
-        dual_write_threshold: int = 100_000,
         migrate_batch: int = 64,
         background: bool = False,
         retune_timeout: float = 30.0,
-        max_failures: int = 3,
-        backoff_factor: float = 2.0,
-        quarantine: bool = True,
-        guard: bool = True,
     ):
         if min_ops < 1 or migrate_batch < 1:
             raise LiveRelationError("min_ops and migrate_batch must be >= 1")
@@ -326,21 +327,12 @@ class RetunePolicy:
             raise LiveRelationError("drift_threshold must be positive")
         if not retune_timeout > 0.0:
             raise LiveRelationError("retune_timeout must be positive")
-        if max_failures < 1:
-            raise LiveRelationError("max_failures must be >= 1")
-        if backoff_factor < 1.0:
-            raise LiveRelationError("backoff_factor must be >= 1.0")
         self.auto = auto
         self.min_ops = min_ops
         self.drift_threshold = drift_threshold
-        self.dual_write_threshold = dual_write_threshold
         self.migrate_batch = migrate_batch
         self.background = background
         self.retune_timeout = retune_timeout
-        self.max_failures = max_failures
-        self.backoff_factor = backoff_factor
-        self.quarantine = quarantine
-        self.guard = guard
 
     @classmethod
     def coerce(cls, value: Union["RetunePolicy", Mapping, None]) -> "RetunePolicy":
@@ -349,6 +341,12 @@ class RetunePolicy:
         if isinstance(value, cls):
             return value
         if isinstance(value, Mapping):
+            unknown = sorted(str(field) for field in value if field not in cls.__slots__)
+            if unknown:
+                raise LiveRelationError(
+                    f"unknown tune policy field(s) {', '.join(unknown)}; "
+                    f"valid fields: {', '.join(cls.__slots__)}"
+                )
             return cls(**value)
         raise LiveRelationError(
             f"tune policy must be a RetunePolicy or a mapping of its fields; got {value!r}"
@@ -424,22 +422,27 @@ class RetuneReport:
         return f"RetuneReport(op={self.op_index}, swapped={self.swapped})"
 
 
-class _Migration:
-    """State of an open dual-write window (incremental α-migration)."""
+class _Attempt:
+    """One re-tune attempt: its report and what its stages produced so far.
 
-    __slots__ = ("target", "pending", "batch", "report")
+    ``stage`` is where the driver stopped: ``"tune"`` while a background
+    search runs (it writes ``tuning`` or ``error``), ``"copy"`` while a
+    dual-write window is open (``target`` is the new backing, ``pending``
+    the rows still to copy).
+    """
 
-    def __init__(
-        self,
-        target: RelationInterface,
-        pending: Deque[Tuple],
-        batch: int,
-        report: RetuneReport,
-    ):
-        self.target = target
-        self.pending = pending
-        self.batch = batch
+    stage = "tune"
+    thread: Optional[threading.Thread] = None
+    started = 0.0
+    tuning: Optional[TuningResult] = None
+    error: Optional[BaseException] = None
+    target: Optional[RelationInterface] = None
+    pending: Deque[Tuple]
+
+    def __init__(self, report: RetuneReport, dual_write: Optional[bool]):
         self.report = report
+        #: ``retune(dual_write=...)``; ``None`` lets the instance size decide.
+        self.dual_write = dual_write
 
 
 class LiveRelation(RelationInterface):
@@ -457,7 +460,8 @@ class LiveRelation(RelationInterface):
     α-equivalence — and the backing is swapped atomically.  Holders of the
     facade never observe an intermediate state: reads are served by the old
     backing until the swap, and during a dual-write window every mutation
-    is applied to both backings.
+    is applied to both backings.  A failed attempt leaves the old backing
+    serving (see the module docstring for the failure policy).
 
     The inspection dunders (``len``/``iter``/``in``) forward to the backing
     without being sampled, so inspection does not perturb the workload the
@@ -486,19 +490,17 @@ class LiveRelation(RelationInterface):
         self.retunes: List[RetuneReport] = []
         self._backing = backing
         self._ops_since_tune = 0
-        self._migration: Optional[_Migration] = None
-        # -- self-healing bookkeeping (see "Failure semantics" in README) --
-        self._failures = 0
+        #: The attempt in flight — a background tune or an open dual-write
+        #: window — if any.
+        self._attempt: Optional[_Attempt] = None
+        # -- the failure record (see "Failure semantics" in README): the
+        # circuit breaker and the backoff derive from the streak, and the
+        # total is counted from the reports --
         self._consecutive_failures = 0
-        #: canonical shape -> layout description of every layout whose
-        #: compile / migrate / verify failed; quarantined shapes are never
-        #: picked as a re-tune winner again (policy.quarantine).
-        self._quarantined: Dict[PyTuple, str] = {}
-        self._backoff_ops = 0
         self._last_error: Optional[str] = None
-        #: In-flight background tune: {"state", "started", "thread",
-        #: "report", "current", "dual_write", "tuning", "error"}.
-        self._tune_box: Optional[Dict[str, object]] = None
+        #: canonical shape -> layout description of every layout whose
+        #: compile / migrate / verify failed; never picked as a winner again.
+        self._quarantined: Dict[PyTuple, str] = {}
 
     # -- backing introspection ---------------------------------------------------
 
@@ -528,22 +530,23 @@ class LiveRelation(RelationInterface):
         window.  No container access is charged — the sampled numbers the
         benchmark gates compare are untouched by sampling.
         """
+        stage = self._attempt.stage if self._attempt is not None else None
         return {
             "generation": self.generation,
             "retunes": len(self.retunes),
             "swaps": sum(1 for r in self.retunes if r.swapped),
             "ops_since_tune": self._ops_since_tune,
-            "migration_open": self._migration is not None,
+            "migration_open": stage == "copy",
             "backing": type(self._backing).__name__,
             "layout": self.backing_layout(),
             "sampler": self.sampler.stats(),
-            "failures": self._failures,
+            "failures": sum(1 for r in self.retunes if r.error is not None),
             "consecutive_failures": self._consecutive_failures,
             "circuit_open": self.circuit_open,
             "quarantined": sorted(self._quarantined.values()),
-            "backoff_ops": self._backoff_ops,
+            "backoff_ops": self._backoff_ops(),
             "last_error": self._last_error,
-            "retune_pending": self._tune_box is not None,
+            "retune_pending": stage == "tune",
             "guard_skips": sum(
                 1 for r in self.retunes if r.guard is not None and r.guard["skipped"]
             ),
@@ -555,23 +558,28 @@ class LiveRelation(RelationInterface):
 
     @property
     def circuit_open(self) -> bool:
-        """``True`` once ``max_failures`` consecutive re-tunes failed.
+        """``True`` once three consecutive re-tunes failed.
 
         While open, no re-tune runs — automatic or explicit — until
         :meth:`reset_circuit`; the relation keeps serving on its current
         backing indefinitely (degraded layout beats a crash loop).
         """
-        return self._consecutive_failures >= self.policy.max_failures
+        return self._consecutive_failures >= _CIRCUIT_FAILURES
+
+    def _backoff_ops(self) -> int:
+        """Exponential backoff: the *k*-th consecutive failure pushes the
+        next automatic attempt ``min_ops * 2**k`` operations out."""
+        streak = self._consecutive_failures
+        return int(self.policy.min_ops * 2**streak) if streak else 0
 
     def reset_circuit(self, clear_quarantine: bool = False) -> None:
         """Re-enable re-tuning after the circuit breaker opened.
 
-        Clears the consecutive-failure count, the backoff and the recorded
-        last error; ``clear_quarantine=True`` also forgets the quarantined
-        layouts (e.g. after fixing whatever made them fail).
+        Clears the consecutive-failure count (and with it the backoff) and
+        the recorded last error; ``clear_quarantine=True`` also forgets the
+        quarantined layouts (e.g. after fixing whatever made them fail).
         """
         self._consecutive_failures = 0
-        self._backoff_ops = 0
         self._last_error = None
         if clear_quarantine:
             self._quarantined.clear()
@@ -581,26 +589,20 @@ class LiveRelation(RelationInterface):
     def insert(self, tup: Union[Tuple, Mapping]) -> None:
         tup = coerce_tuple(tup)
         self._backing.insert(tup)
-        migration = self._migration
-        if migration is not None:
-            self._apply_dual_write(migration, lambda: migration.target.insert(tup))
         self._observe(("insert", tup))
 
     def remove(self, pattern: Union[Tuple, Mapping, None] = None) -> None:
         pattern = coerce_tuple(pattern)
         self._backing.remove(pattern)
-        migration = self._migration
-        if migration is not None:
-            # Rows already copied are removed here; still-pending rows are
-            # revalidated against the old backing at copy time and skipped.
-            self._apply_dual_write(migration, lambda: migration.target.remove(pattern))
         self._observe(("remove", pattern))
 
     def update(self, pattern: Union[Tuple, Mapping], changes: Union[Tuple, Mapping]) -> None:
         pattern = coerce_tuple(pattern)
         changes = coerce_tuple(changes)
-        migration = self._migration
-        if migration is not None:
+        window = self._attempt
+        if window is not None and window.stage != "copy":
+            window = None  # a background tune has no target to mirror into
+        if window is not None:
             # Capture the victims *before* mutating: a pending (not yet
             # copied) victim would otherwise be skipped at copy time (the
             # old backing no longer holds its pre-update form) while its
@@ -609,37 +611,9 @@ class LiveRelation(RelationInterface):
             # the extra enqueue idempotent.
             victims = self._backing.query(pattern, None)
         self._backing.update(pattern, changes)
-        if migration is not None:
-
-            def _mirror() -> None:
-                migration.target.update(pattern, changes)
-                for victim in victims:
-                    migration.pending.append(victim.merge(changes))
-
-            self._apply_dual_write(migration, _mirror)
+        if window is not None:
+            window.pending.extend(victim.merge(changes) for victim in victims)
         self._observe(("update", pattern, changes))
-
-    def _apply_dual_write(self, migration: "_Migration", action) -> None:
-        """Mirror one mutation into the dual-write target.
-
-        The primary backing has already applied the mutation, so a failing
-        target write **aborts the migration window** (the half-built target
-        is discarded, the failed layout quarantined) and returns without
-        raising: the caller's operation landed in exactly one consistent
-        backing — the old one, which keeps serving.
-        """
-        try:
-            if FAULTS.active:
-                FAULTS.check("live.migrate.dual_write")
-            action()
-        except ReproError as exc:
-            failure = MigrationError(
-                f"dual-write into migration target "
-                f"{migration.report.new_layout!r} failed: {exc}",
-                stage="dual-write",
-            )
-            failure.__cause__ = exc
-            self._abort_migration(failure)
 
     def query(
         self,
@@ -654,23 +628,20 @@ class LiveRelation(RelationInterface):
         return results
 
     def _observe(self, op: Operation) -> None:
-        """Sample one completed operation, then advance the control loop.
+        """Mirror one completed mutation into an open dual-write window,
+        sample the operation, then advance the control loop.
 
         Never raises on behalf of the control loop: the caller's operation
-        already succeeded on the primary backing, so a failed migration
-        pump or background-tune completion is recorded (and the attempt
-        aborted) rather than surfaced through an unrelated ``insert``.
+        already succeeded on the primary backing, so a failed stage of an
+        attempt in flight is recorded rather than surfaced through an
+        unrelated ``insert``.
         """
+        if self._attempt is not None and op[0] != "query":
+            self._advance(self._attempt, write=op)
         self._ops_since_tune += 1
         self.sampler.observe(op)
-        if self._migration is not None:
-            try:
-                self._pump_migration()
-            except MigrationError:
-                # Aborted and recorded; the old backing keeps serving.
-                pass
-        elif self._tune_box is not None:
-            self._poll_background_tune()
+        if self._attempt is not None:
+            self._advance(self._attempt)
         elif self.policy.auto:
             self.maybe_retune()
 
@@ -687,11 +658,10 @@ class LiveRelation(RelationInterface):
         but not raised — the operation that triggered the check already
         succeeded, and the old backing keeps serving.
         """
-        if self._migration is not None or self._tune_box is not None:
+        if self._attempt is not None or self.circuit_open:
             return None
-        if self.circuit_open:
-            return None
-        if self._ops_since_tune < max(self.policy.min_ops, self._backoff_ops):
+        ops = self._ops_since_tune
+        if ops < self.policy.min_ops or ops < self._backoff_ops():
             return None
         drift = self.sampler.drift()
         if drift < self.policy.drift_threshold:
@@ -704,7 +674,7 @@ class LiveRelation(RelationInterface):
         try:
             return self.retune(reason=reason, drift=None if math.isinf(drift) else drift)
         except LiveRelationError:
-            # Recorded by the failure bookkeeping (backoff / quarantine /
+            # Recorded by the failure handler (backoff / quarantine /
             # circuit breaker); self-heal instead of failing the caller.
             return self.retunes[-1] if self.retunes else None
 
@@ -741,7 +711,7 @@ class LiveRelation(RelationInterface):
         layout" resolves to a no-swap report rather than a migration to an
         equivalent shape.  ``dual_write`` forces (or suppresses) the
         incremental migration window; by default instances of at least
-        ``policy.dual_write_threshold`` rows take it.
+        :data:`DUAL_WRITE_THRESHOLD` rows take it.
 
         Deterministic by construction for seeded workloads: the sampler's
         RNG is seeded and the autotuner's replay is exact.
@@ -751,29 +721,26 @@ class LiveRelation(RelationInterface):
         keeps serving, the failed layout is quarantined, the failure is
         recorded for backoff / circuit-breaker bookkeeping, and the error
         (:class:`RetuneFailed` or :class:`MigrationError`) propagates to
-        *this explicit caller*.  Automatic re-tunes (:meth:`maybe_retune`)
-        swallow it.
+        *this explicit caller* for the stages this call runs.  Automatic
+        re-tunes (:meth:`maybe_retune`) swallow it, and so does every stage
+        that runs later, inside another operation.
 
-        With ``policy.background=True`` the autotuner search runs on a
-        daemon thread and this returns immediately with a ``pending``
-        report; the compile/migrate/swap happens on the thread of a later
-        operation (or :meth:`finish_retune`) once the search completes.
+        With ``policy.background=True`` the tune stage runs on a daemon
+        thread and this returns immediately with a ``pending`` report; the
+        later stages run on the thread of a later operation (or
+        :meth:`finish_retune`) once the search completes.
         """
-        if self._migration is not None:
-            raise LiveRelationError(
-                "cannot re-tune while a dual-write migration window is open "
-                "(call finish_migration() first)"
+        if self._attempt is not None:
+            what, finish = (
+                ("a dual-write migration window is open", "finish_migration")
+                if self._attempt.stage == "copy"
+                else ("a background tune is in flight", "finish_retune")
             )
-        if self._tune_box is not None:
-            raise LiveRelationError(
-                "cannot re-tune while a background tune is in flight "
-                "(call finish_retune() first)"
-            )
+            raise LiveRelationError(f"cannot re-tune while {what} (call {finish}() first)")
         if self.circuit_open:
             raise RetuneFailed(
                 f"circuit breaker open after {self._consecutive_failures} "
-                f"consecutive re-tune failures "
-                f"(max_failures={self.policy.max_failures}); last error: "
+                f"consecutive re-tune failures; last error: "
                 f"{self._last_error}; call reset_circuit() to re-enable",
                 stage="circuit",
             )
@@ -781,261 +748,35 @@ class LiveRelation(RelationInterface):
             self.sampler.seen, reason, drift, self.backing_layout()
         )
         self.retunes.append(report)
+        attempt = _Attempt(report, dual_write)
+        # The trace is snapshotted here, on the caller's thread, so a
+        # background search sees a consistent state; only the pure search
+        # runs concurrently.
+        trace = self._retune_trace()
         current = self.backing_decomposition()
-        if self.policy.background:
-            return self._start_background_tune(report, current, dual_write)
-        tuning = self._run_tune(report, current)
-        return self._finish_retune(report, current, tuning, dual_write)
-
-    def _run_tune(self, report: RetuneReport, current: Optional[Decomposition]) -> TuningResult:
-        """The search stage: synthesize the trace and run the autotuner."""
-        trace = self._retune_trace()
         include = [current] if current is not None else []
-        try:
-            if FAULTS.active:
-                FAULTS.check("live.retune.tune")
-            # Eviction-mode replay, matching the synthesized trace (see
-            # _retune_trace); the new backing itself runs in self.enforce_fds.
-            return autotune(self.spec, trace, include=include, enforce_fds=False)
-        except ReproError as exc:
-            failure = RetuneFailed(f"autotune search failed: {exc}", stage="tune")
-            failure.__cause__ = exc
-            self._record_failure(report, failure)
-            raise failure from exc
 
-    def _pick_winner(
-        self, tuning: TuningResult, current: Optional[Decomposition]
-    ) -> Optional[ScoredCandidate]:
-        """The best replayed candidate whose shape is not quarantined.
-
-        The current layout always qualifies (it is serving right now), so
-        when every better candidate is quarantined the re-tune resolves to
-        "keep".  ``None`` only when *everything* replayed is quarantined
-        and the current shape is not among the candidates.
-        """
-        current_shape = canonical_shape(current) if current is not None else None
-        quarantine = self.policy.quarantine
-        for candidate in tuning.replayed:
-            shape = canonical_shape(candidate.decomposition)
-            if shape == current_shape:
-                return candidate
-            if quarantine and shape in self._quarantined:
-                continue
-            return candidate
-        return None
-
-    def _finish_retune(
-        self,
-        report: RetuneReport,
-        current: Optional[Decomposition],
-        tuning: TuningResult,
-        dual_write: Optional[bool] = None,
-    ) -> RetuneReport:
-        """Compile + migrate stage, shared by sync and background re-tunes."""
-        report.tuning = tuning
-        # The tune consumed this window: future drift is measured against it.
-        self.sampler.rebase()
-        horizon = self._ops_since_tune
-        self._ops_since_tune = 0
-
-        winner = self._pick_winner(tuning, current)
-        if winner is None:
-            # Everything the search surfaced has failed before: keep serving.
-            report.new_layout = report.old_layout
-            self._consecutive_failures = 0
-            self._backoff_ops = 0
-            return report
-        if winner is not tuning.winner:
-            # Quarantine displaced the access-count winner; compile_winner()
-            # compiles `.winner`, so promote the chosen candidate.
-            tuning.winner = winner
-        report.new_layout = winner.decomposition.describe()
-        if current is not None and canonical_shape(winner.decomposition) == canonical_shape(current):
-            report.new_layout = report.old_layout
-            self._consecutive_failures = 0
-            self._backoff_ops = 0
-            return report
-
-        if self.policy.guard and not self._guard_allows(
-            report, current, tuning, winner, horizon
-        ):
-            # The projected savings do not pay for moving every live row:
-            # keep serving on the current layout.  Not a failure — the
-            # search itself succeeded, the swap was just not worth it.
-            report.new_layout = report.old_layout
-            self._consecutive_failures = 0
-            self._backoff_ops = 0
-            return report
-
-        try:
-            if FAULTS.active:
-                FAULTS.check("live.retune.compile")
-            new_cls = tuning.compile_winner()
-            new_backing = new_cls(enforce_fds=self.enforce_fds)
-        except ReproError as exc:
-            failure = RetuneFailed(
-                f"compiling winner {report.new_layout!r} failed: {exc}",
-                stage="compile",
-            )
-            failure.__cause__ = exc
-            self._record_failure(report, failure, canonical_shape(winner.decomposition))
-            raise failure from exc
-
-        if dual_write is None:
-            dual_write = len(self._backing) >= self.policy.dual_write_threshold
-        if dual_write:
-            pending: Deque[Tuple] = deque(
-                sorted(self._backing.to_relation().tuples, key=Tuple.sort_key)
-            )
-            report.dual_write = True
-            self._migration = _Migration(
-                new_backing, pending, self.policy.migrate_batch, report
-            )
-            self._pump_migration()
-        else:
-            self._migrate_sync(new_backing, report)
-        return report
-
-    def _guard_allows(
-        self,
-        report: RetuneReport,
-        current: Optional[Decomposition],
-        tuning: TuningResult,
-        winner: "ScoredCandidate",
-        horizon: int,
-    ) -> bool:
-        """Cost/benefit check before a hot swap; records the decision.
-
-        Savings are estimated from the exact replay the autotuner already
-        paid for: the access gap between the current layout and the winner
-        over the re-tune trace, scaled per-operation and projected over the
-        ops observed since the last tune (the best available guess at the
-        next window).  Migration cost is proxied as one counted access per
-        live row per distinct edge of the winning layout — what the
-        enumerate + reinsert pass (or the dual-write pump) must pay.  When
-        the current layout was not replayed (or has no exact count) the
-        guard abstains and the swap proceeds.
-        """
-        current_shape = canonical_shape(current) if current is not None else None
-        cur_accesses: Optional[int] = None
-        for candidate in tuning.replayed:
-            if canonical_shape(candidate.decomposition) == current_shape:
-                cur_accesses = candidate.accesses
-                break
-        if cur_accesses is None or winner.accesses is None:
-            return True
-        # The re-tune trace opens with one rebuild insert per live row (see
-        # _retune_trace) — state reconstruction, not workload.  Scale the
-        # access gap over the sampled serving ops only, or the guard
-        # under-prices winners on well-populated relations.
-        serving_ops = max(1, len(tuning.trace) - len(self._backing))
-        savings_per_op = (cur_accesses - winner.accesses) / serving_ops
-        # A swap keeps earning until the *next* re-tune, not just for one
-        # window — require payback within a few windows, so marginal
-        # winners stay put but a genuinely better layout is never starved
-        # by a short last window.
-        payback = max(horizon, self.policy.min_ops * _GUARD_PAYBACK_WINDOWS, 1)
-        projected = savings_per_op * payback
-        edge_count = sum(len(node.edges) for node in winner.decomposition.nodes())
-        migration_cost = float(len(self._backing) * max(1, edge_count))
-        skipped = projected < migration_cost
-        report.guard = {
-            "horizon": payback,
-            "savings_per_op": round(savings_per_op, 3),
-            "projected_savings": round(projected, 1),
-            "migration_cost": migration_cost,
-            "skipped": skipped,
-        }
-        return not skipped
-
-    # -- background re-tune (search off-thread, swap on-thread) ------------------
-
-    def _start_background_tune(
-        self,
-        report: RetuneReport,
-        current: Optional[Decomposition],
-        dual_write: Optional[bool],
-    ) -> RetuneReport:
-        """Launch the autotuner search on a daemon thread.
-
-        The trace is snapshotted on the caller's thread (so the search sees
-        a consistent state); only the pure search runs concurrently.  The
-        result is collected — and the migration run — on the thread of a
-        later operation via :meth:`_poll_background_tune`, or explicitly by
-        :meth:`finish_retune`; a search that outlives
-        ``policy.retune_timeout`` is abandoned by the watchdog.
-        """
-        trace = self._retune_trace()
-        include = [current] if current is not None else []
-        box: Dict[str, object] = {
-            "state": "running",
-            "started": time.monotonic(),
-            "report": report,
-            "current": current,
-            "dual_write": dual_write,
-            "tuning": None,
-            "error": None,
-        }
-
-        def worker() -> None:
+        def search() -> None:  # the tune stage's work, here or on a daemon thread
             try:
                 if FAULTS.active:
                     FAULTS.check("live.retune.tune")
-                box["tuning"] = autotune(
-                    self.spec, trace, include=include, enforce_fds=False
-                )
-                box["state"] = "done"
-            except BaseException as exc:  # surfaced on the caller's thread
-                box["error"] = exc
-                box["state"] = "failed"
+                # Eviction-mode replay, matching the synthesized trace (see
+                # _retune_trace); the new backing itself runs in self.enforce_fds.
+                attempt.tuning = autotune(self.spec, trace, include=include, enforce_fds=False)
+            except BaseException as exc:  # collected on the caller's thread
+                attempt.error = exc
 
-        thread = threading.Thread(
-            target=worker, name=f"{self.name}-retune-gen{self.generation}", daemon=True
+        if not self.policy.background:
+            search()
+            return self._advance(attempt, reraise=True)
+        attempt.thread = threading.Thread(
+            target=search, name=f"{self.name}-retune-gen{self.generation}", daemon=True
         )
-        box["thread"] = thread
-        self._tune_box = box
+        attempt.started = time.monotonic()
         report.pending = True
-        thread.start()
+        self._attempt = attempt
+        attempt.thread.start()
         return report
-
-    def _poll_background_tune(self) -> Optional[RetuneReport]:
-        """Collect a finished (or overdue) background tune; apply its result."""
-        box = self._tune_box
-        if box is None:
-            return None
-        report = box["report"]
-        state = box["state"]
-        if state == "running":
-            if time.monotonic() - box["started"] <= self.policy.retune_timeout:
-                return None
-            # Watchdog: abandon the straggler.  The daemon thread keeps
-            # running but its box is unlinked, so its eventual result (or
-            # error) is discarded without touching the relation.
-            self._tune_box = None
-            report.pending = False
-            failure = RetuneFailed(
-                f"background tune exceeded retune_timeout="
-                f"{self.policy.retune_timeout}s; abandoned by the watchdog",
-                stage="tune",
-            )
-            self._record_failure(report, failure)
-            return report
-        self._tune_box = None
-        report.pending = False
-        if state == "failed":
-            exc = box["error"]
-            failure = RetuneFailed(f"background autotune search failed: {exc}", stage="tune")
-            failure.__cause__ = exc
-            self._record_failure(report, failure)
-            return report
-        try:
-            return self._finish_retune(
-                report, box["current"], box["tuning"], box["dual_write"]
-            )
-        except LiveRelationError:
-            # Recorded; the triggering operation already succeeded on the
-            # old backing, which keeps serving.
-            return report
 
     def finish_retune(self, timeout: Optional[float] = None) -> Optional[RetuneReport]:
         """Wait for an in-flight background tune and apply its result.
@@ -1045,182 +786,239 @@ class LiveRelation(RelationInterface):
         reached — including the watchdog's abandon when it is overdue.
         Returns the report, or ``None`` when no background tune is open.
         """
-        box = self._tune_box
-        if box is None:
+        attempt = self._attempt
+        if attempt is None or attempt.stage != "tune":
             return None
-        box["thread"].join(timeout if timeout is not None else self.policy.retune_timeout)
-        return self._poll_background_tune()
-
-    # -- migration ---------------------------------------------------------------
-
-    def _migrate_sync(self, new_backing: RelationInterface, report: RetuneReport) -> None:
-        """One-pass α-migration: enumerate the old backing, reinsert, verify.
-
-        The target is private until :meth:`_verify_and_swap` commits, so a
-        mid-copy failure simply discards it — nothing to roll back.
-        """
-        snapshot = self._backing.to_relation()
-        try:
-            for tup in sorted(snapshot.tuples, key=Tuple.sort_key):
-                if FAULTS.active:
-                    FAULTS.check("live.migrate.copy")
-                new_backing.insert(tup)
-                report.migrated += 1
-        except ReproError as exc:
-            failure = MigrationError(
-                f"copying rows into {report.new_layout!r} failed: {exc}",
-                stage="copy",
-            )
-            failure.__cause__ = exc
-            self._record_failure(report, failure, self._shape_of(new_backing))
-            raise failure from exc
-        self._verify_and_swap(new_backing, snapshot, report)
-
-    def _pump_migration(self) -> None:
-        """Copy the next batch of a dual-write window; swap when drained.
-
-        Each pending row is revalidated against the old backing — a row
-        removed or updated since the window opened is skipped (its current
-        form reached the target through dual-writing or re-enqueueing).
-
-        A failing copy aborts the window (target discarded, layout
-        quarantined) and raises :class:`MigrationError`; ``_observe``
-        catches it so user operations never fail on the control loop's
-        behalf.
-        """
-        migration = self._migration
-        assert migration is not None
-        pending = migration.pending
-        try:
-            for _ in range(min(migration.batch, len(pending))):
-                if FAULTS.active:
-                    FAULTS.check("live.migrate.copy")
-                row = pending.popleft()
-                if self._backing.contains(row):
-                    migration.target.insert(row)
-                    migration.report.migrated += 1
-        except ReproError as exc:
-            failure = MigrationError(
-                f"copying rows into {migration.report.new_layout!r} failed: {exc}",
-                stage="copy",
-            )
-            failure.__cause__ = exc
-            self._abort_migration(failure)
-            raise failure from exc
-        if not pending:
-            self._migration = None
-            self._verify_and_swap(
-                migration.target, self._backing.to_relation(), migration.report
-            )
-
-    def _abort_migration(self, failure: MigrationError) -> None:
-        """Tear down an open dual-write window after a failure.
-
-        Atomic from the caller's perspective: the target is discarded in
-        one assignment, the old backing was never touched, and the failed
-        target layout is quarantined.
-        """
-        migration = self._migration
-        self._migration = None
-        if migration is None:
-            return
-        self._record_failure(
-            migration.report, failure, self._shape_of(migration.target)
-        )
+        attempt.thread.join(timeout if timeout is not None else self.policy.retune_timeout)
+        report = self._advance(attempt)
+        return None if report.pending else report
 
     def finish_migration(self) -> None:
         """Drain any open dual-write window synchronously.
 
-        If the window aborts mid-drain the loop simply ends — the abort
-        clears the window — with the failure recorded in ``live_stats()``.
+        A failing row ends the attempt, with the failure recorded in
+        ``live_stats()``; the old backing keeps serving.
         """
-        while self._migration is not None:
-            try:
-                self._pump_migration()
-            except MigrationError:
-                break  # aborted and recorded; old backing keeps serving
+        attempt = self._attempt
+        if attempt is not None and attempt.stage == "copy":
+            self._advance(attempt, drain=True)
 
-    def _verify_and_swap(
-        self,
-        new_backing: RelationInterface,
-        expected: Relation,
-        report: RetuneReport,
-    ) -> None:
-        """The α-equivalence gate, then the atomic swap.
+    def _advance(self, attempt: _Attempt, write=None, drain=False, reraise=False) -> RetuneReport:
+        """The re-tune driver: run *attempt*'s stages from where it stopped.
 
-        Any failure up to the final assignment aborts the migration: the
-        old backing is untouched and keeps serving, and the failed layout
-        is quarantined.  The swap itself is a single attribute write —
-        atomic under the GIL — with nothing left to raise after it.
+        tune → pick → guard → compile → copy → verify → swap.  The attempt
+        stays in flight while a background search runs (each later
+        operation checks on it) or while a dual-write copy has rows left
+        (each later operation copies ``migrate_batch`` more; *drain* copies
+        the rest now).  *write* instead mirrors one user mutation — an
+        ``(kind, *args)`` operation — into the open window's target (a
+        no-op outside the copy stage).
+
+        Every stage failure lands in the one handler at the bottom: the
+        attempt ends, the old backing keeps serving, and the stage-tagged
+        error is recorded on the report — and raised only with *reraise*
+        (the stages an explicit :meth:`retune` call runs itself).
         """
+        report = attempt.report
+        stage = attempt.stage
+        snapshot: Optional[Relation] = None
         try:
-            if FAULTS.active:
-                FAULTS.check("live.retune.verify")
-            check = getattr(new_backing, "check_well_formed", None)
-            if check is not None:
-                check()
-            migrated = new_backing.to_relation()
-            if migrated != expected:
-                raise MigrationError(
-                    f"α-migration to {report.new_layout!r} diverged: the new backing "
-                    f"represents {len(migrated.tuples ^ expected.tuples)} differing "
-                    f"tuple(s) — refusing to swap",
-                    stage="verify",
-                )
-            if FAULTS.active:
-                FAULTS.check("live.swap")
+            if write is not None:
+                # The old backing already applied the mutation, so a failing
+                # mirror ends the attempt without raising: the caller's
+                # operation landed in exactly one consistent backing — the
+                # old one, which keeps serving.  A mirrored remove drops rows
+                # already copied; still-pending rows are revalidated against
+                # the old backing at copy time and skipped.
+                if stage == "copy":
+                    stage = "dual-write"
+                    if FAULTS.active:
+                        FAULTS.check("live.migrate.dual_write")
+                    getattr(attempt.target, write[0])(*write[1:])
+                return report
+            if stage == "tune":
+                if attempt.tuning is None and attempt.error is None:
+                    if time.monotonic() - attempt.started <= self.policy.retune_timeout:
+                        return report  # the background search is still running
+                    # Watchdog: abandon the straggler.  The daemon thread
+                    # keeps running but the attempt is unlinked, so its
+                    # eventual result (or error) is discarded.
+                    raise RetuneFailed(
+                        f"background tune exceeded retune_timeout="
+                        f"{self.policy.retune_timeout}s; abandoned by the watchdog",
+                        stage="tune",
+                    )
+                if attempt.error is not None:
+                    if attempt.thread is None:
+                        raise attempt.error  # a synchronous search's own error
+                    raise RetuneFailed(
+                        f"background autotune search failed: {attempt.error}", stage="tune"
+                    ) from attempt.error
+                report.pending = False
+                if self._pick(attempt):
+                    stage = "compile"
+                    if FAULTS.active:
+                        FAULTS.check("live.retune.compile")
+                    attempt.target = attempt.tuning.compile_winner()(enforce_fds=self.enforce_fds)
+                    stage = attempt.stage = "copy"
+                    report.dual_write = bool(
+                        len(self._backing) >= DUAL_WRITE_THRESHOLD
+                        if attempt.dual_write is None
+                        else attempt.dual_write
+                    )
+                    snapshot = self._backing.to_relation()
+                    attempt.pending = deque(sorted(snapshot.tuples, key=Tuple.sort_key))
+            if stage == "copy":
+                pending, target = attempt.pending, attempt.target
+                # A dual-write window revalidates each row against the old
+                # backing: a row removed or updated since the window opened
+                # is skipped (its current form reached the target through
+                # dual-writing or re-enqueueing).  A synchronous copy runs
+                # in one call, so its snapshot cannot go stale.
+                recheck = self._backing.contains if report.dual_write else None
+                rows = len(pending)
+                if recheck is not None and not drain:
+                    rows = min(self.policy.migrate_batch, rows)
+                for _ in range(rows):
+                    if FAULTS.active:
+                        FAULTS.check("live.migrate.copy")
+                    row = pending.popleft()
+                    if recheck is None or recheck(row):
+                        target.insert(row)
+                        report.migrated += 1
+                if pending:
+                    self._attempt = attempt  # the window stays open
+                    return report
+                stage = "verify"
+                if FAULTS.active:
+                    FAULTS.check("live.retune.verify")
+                check = getattr(target, "check_well_formed", None)
+                if check is not None:
+                    check()
+                # The contents this call copied from; a window that spanned
+                # operations re-reads the old backing, which every mutation
+                # since reached as well.
+                expected = snapshot if snapshot is not None else self._backing.to_relation()
+                migrated = target.to_relation()
+                if migrated != expected:
+                    raise MigrationError(
+                        f"α-migration to {report.new_layout!r} diverged: the new backing "
+                        f"represents {len(migrated.tuples ^ expected.tuples)} differing "
+                        f"tuple(s) — refusing to swap",
+                        stage="verify",
+                    )
+                stage = "swap"
+                if FAULTS.active:
+                    FAULTS.check("live.swap")
+                # A single attribute write — atomic under the GIL — with
+                # nothing left to raise after it.
+                self._backing = target
+                self.generation += 1
+                report.swapped = True
+                report.generation = self.generation
         except ReproError as exc:
-            if isinstance(exc, MigrationError):
-                failure = exc
-            else:
-                stage = (
-                    "swap"
-                    if isinstance(exc, FaultInjected) and exc.site == "live.swap"
-                    else "verify"
-                )
-                failure = MigrationError(
-                    f"α-verification of {report.new_layout!r} failed: {exc}",
-                    stage=stage,
-                )
-                failure.__cause__ = exc
-            self._record_failure(report, failure, self._shape_of(new_backing))
-            raise failure from exc
-        self._backing = new_backing
-        self.generation += 1
-        report.swapped = True
-        report.generation = self.generation
+            failure = self._fail(attempt, stage, exc)
+            if reraise:
+                raise failure from failure.__cause__
+            return report
+        # Kept the current layout or swapped: the attempt succeeded.
+        self._attempt = None
         self._consecutive_failures = 0
-        self._backoff_ops = 0
+        return report
 
-    # -- failure bookkeeping -----------------------------------------------------
+    def _pick(self, attempt: _Attempt) -> bool:
+        """The pick and guard stages: whether to migrate to a new winner.
 
-    def _shape_of(self, backing: RelationInterface) -> Optional[PyTuple]:
-        decomposition = getattr(backing, "decomposition", None)
-        if decomposition is None:
-            decomposition = getattr(type(backing), "DECOMPOSITION", None)
-        return canonical_shape(decomposition) if decomposition is not None else None
+        Pick: the best replayed candidate whose shape is not quarantined —
+        the current layout always qualifies, as it is serving right now.
 
-    def _record_failure(
-        self,
-        report: RetuneReport,
-        failure: LiveRelationError,
-        shape: Optional[PyTuple] = None,
-    ) -> None:
-        """One failed re-tune / migration attempt: count, quarantine, back off."""
-        self._failures += 1
+        Guard: a cost/benefit check before a hot swap, recorded on
+        ``report.guard`` either way.  Savings are estimated from the exact
+        replay the autotuner already paid for: the access gap between the
+        current layout and the winner over the re-tune trace, scaled
+        per-operation and projected over the ops observed since the last
+        tune (the best available guess at the next window).  Migration cost
+        is proxied as one counted access per live row per distinct edge of
+        the winning layout — what the copy stage must pay.  When the current
+        layout has no exact count the guard abstains and the swap proceeds.
+
+        ``False`` keeps the current layout: not a failure, since the search
+        itself succeeded.  After a ``True`` pick, ``tuning.winner`` is it.
+        """
+        report, tuning = attempt.report, attempt.tuning
+        report.tuning = tuning
+        # The tune consumed this window: future drift is measured against it.
+        self.sampler.rebase()
+        horizon, self._ops_since_tune = self._ops_since_tune, 0
+        report.new_layout = report.old_layout
+        current = self.backing_decomposition()
+        current_shape = canonical_shape(current) if current is not None else None
+        winner: Optional[ScoredCandidate] = None
+        cur_accesses: Optional[int] = None
+        for candidate in tuning.replayed:
+            shape = canonical_shape(candidate.decomposition)
+            if shape == current_shape:
+                cur_accesses = candidate.accesses
+            if winner is None and (shape == current_shape or shape not in self._quarantined):
+                winner = candidate
+        if winner is None:
+            return False  # everything the search surfaced has failed before
+        # compile_winner() compiles `.winner`: promote the pick, which
+        # differs when quarantine displaced the access-count winner.
+        tuning.winner = winner
+        if canonical_shape(winner.decomposition) == current_shape:
+            return False
+        if cur_accesses is not None and winner.accesses is not None:
+            # The re-tune trace opens with one rebuild insert per live row
+            # (see _retune_trace) — state reconstruction, not workload.
+            # Scale the access gap over the sampled serving ops only, or the
+            # guard under-prices winners on well-populated relations.
+            serving_ops = max(1, len(tuning.trace) - len(self._backing))
+            savings_per_op = (cur_accesses - winner.accesses) / serving_ops
+            # A swap keeps earning until the *next* re-tune, not just for
+            # one window — require payback within a few windows, so marginal
+            # winners stay put but a genuinely better layout is never
+            # starved by a short last window.
+            payback = max(horizon, self.policy.min_ops * _GUARD_PAYBACK_WINDOWS, 1)
+            projected = savings_per_op * payback
+            edge_count = sum(len(node.edges) for node in winner.decomposition.nodes())
+            migration_cost = float(len(self._backing) * max(1, edge_count))
+            skipped = projected < migration_cost
+            report.guard = {
+                "horizon": payback,
+                "savings_per_op": round(savings_per_op, 3),
+                "projected_savings": round(projected, 1),
+                "migration_cost": migration_cost,
+                "skipped": skipped,
+            }
+            if skipped:
+                return False
+        report.new_layout = winner.decomposition.describe()
+        return True
+
+    def _fail(self, attempt: _Attempt, stage: str, exc: ReproError) -> LiveRelationError:
+        """The one failure handler: tag, record, quarantine, back off.
+
+        Ends *attempt* — its target, if any, is dropped; the old backing was
+        never touched — and returns the stage-tagged error.
+        """
+        report = attempt.report
+        if isinstance(exc, (RetuneFailed, MigrationError)):
+            failure = exc  # raised by the driver itself, already tagged
+        else:
+            kind, what = _STAGE_ERRORS[stage]
+            failure = kind(f"{what.format(report.new_layout)} failed: {exc}", stage=stage)
+            failure.__cause__ = exc
+        self._attempt = None
+        report.pending = False
         self._consecutive_failures += 1
-        stage = getattr(failure, "stage", "unknown")
-        self._last_error = f"{type(failure).__name__}[{stage}]: {failure}"
-        report.error = self._last_error
-        if shape is not None and self.policy.quarantine:
-            self._quarantined[shape] = report.new_layout or "<uncompiled>"
-        # Exponential backoff: the k-th consecutive failure pushes the next
-        # automatic attempt to min_ops * backoff_factor**k operations out.
-        self._backoff_ops = int(
-            self.policy.min_ops
-            * (self.policy.backoff_factor ** self._consecutive_failures)
-        )
+        self._last_error = report.error = f"{type(failure).__name__}[{failure.stage}]: {failure}"
+        if stage != "tune":
+            # Every later stage works on the picked winner: never pick it again.
+            shape = canonical_shape(attempt.tuning.winner.decomposition)
+            self._quarantined[shape] = report.new_layout
         self._ops_since_tune = 0
+        return failure
 
     # -- inspection (forwarded, never sampled) -----------------------------------
 

@@ -383,7 +383,8 @@ class TestEmittedMetadata:
         import linecache
 
         cls = compile_relation(scheduler_spec, SCHED_LAYOUT)
-        assert cls.__repro_source__ == cls.__source__
+        assert "def insert(self, tup):" in cls.__repro_source__
+        assert not hasattr(cls, "__source__")  # no alias: one canonical name
         meta = cls.__repro_meta__
         assert meta["class_name"] == cls.__name__
         assert set(meta["columns"]) == set(scheduler_spec.columns)

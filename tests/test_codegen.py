@@ -35,7 +35,7 @@ class TestGeneratedSource:
 
     def test_source_attached_to_class(self, scheduler_spec):
         cls = compile_relation(scheduler_spec, SCHEDULER)
-        assert "def insert(self, tup):" in cls.__source__
+        assert "def insert(self, tup):" in cls.__repro_source__
         assert cls.SPEC is scheduler_spec
         assert cls.DECOMPOSITION.describe()
 

@@ -220,7 +220,7 @@ def _join_capable_compiled(layout: str, enforce_fds: bool):
         for e in node.edges
     }
     cls = compile_relation(GRAPH_SPEC, decomposition, sizes=sizes)
-    assert "join[" in cls.__source__  # The differential must cover join code.
+    assert "join[" in cls.__repro_source__  # The differential must cover join code.
     return cls(enforce_fds=enforce_fds)
 
 

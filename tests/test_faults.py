@@ -13,9 +13,8 @@ step, asserting after each **survived** fault that
 and that the :class:`~repro.live.LiveRelation` self-healing loop survives
 an injected failure at every re-tune / migration stage: the old backing
 keeps serving, the failed layout is quarantined, the circuit breaker opens
-after ``max_failures`` consecutive failures, and a dual-write window
-interrupted mid-flight aborts with every write in exactly one consistent
-backing.
+after three consecutive failures, and a dual-write window interrupted
+mid-flight aborts with every write in exactly one consistent backing.
 
 ``REPRO_CHAOS_OPS`` shortens the differentials (CI quick mode uses 250).
 """
@@ -27,6 +26,7 @@ import time
 import pytest
 
 import repro
+import repro.live as live_module
 from repro import RelationSpec, Tuple, t
 from repro.codegen import compile_relation
 from repro.core import ReferenceRelation
@@ -248,7 +248,7 @@ def test_reference_atomic_commit_per_site(enforce_fds):
 def live_relation(**policy_overrides):
     """A live interpreted relation on a deliberately poor layout, warmed up
     with a lookup-heavy workload so an unfaulted re-tune *will* swap."""
-    policy = {"auto": False, "min_ops": 1, "max_failures": 3, "migrate_batch": 4}
+    policy = {"auto": False, "min_ops": 1, "migrate_batch": 4}
     policy.update(policy_overrides)
     spec = scheduler_spec()
     rel = repro.open(
@@ -265,6 +265,7 @@ def live_relation(**policy_overrides):
     return rel
 
 
+@pytest.mark.parametrize("mode", ["sync", "background", "dual-write"])
 @pytest.mark.parametrize(
     "site, error_type, stage",
     [
@@ -275,16 +276,35 @@ def live_relation(**policy_overrides):
         ("live.swap", MigrationError, "swap"),
     ],
 )
-def test_retune_stage_failure_never_corrupts(site, error_type, stage):
-    """A fault at each re-tune/migration stage aborts cleanly: the old
-    backing keeps serving, α is untouched, the failure is recorded."""
-    rel = live_relation()
+def test_retune_stage_failure_never_corrupts(site, error_type, stage, mode, monkeypatch):
+    """A fault at each re-tune/migration stage aborts cleanly in every mode:
+    the old backing keeps serving, α is untouched, the failure is recorded.
+    Only an explicit synchronous ``retune()`` sees the error; background and
+    dual-write attempts run their later stages inside later calls, which
+    never fail on the re-tune loop's behalf."""
+    rel = live_relation(background=mode == "background")
     before = rel.to_relation()
     with inject(site):
-        with pytest.raises(error_type) as excinfo:
-            rel.retune()
-    assert excinfo.value.stage == stage
-    assert isinstance(excinfo.value.__cause__, FaultInjected)
+        if mode == "sync":
+            with pytest.raises(error_type) as excinfo:
+                rel.retune()
+            assert excinfo.value.stage == stage
+            assert isinstance(excinfo.value.__cause__, FaultInjected)
+        elif mode == "background":
+            report = rel.retune()
+            assert report.pending  # the search runs on the daemon thread
+            assert rel.finish_retune() is report  # later stages run here
+        else:
+            # An automatic re-tune of an instance over the threshold opens a
+            # dual-write window; each later operation copies migrate_batch
+            # more rows, and the one that drains it verifies and swaps.
+            monkeypatch.setattr(live_module, "DUAL_WRITE_THRESHOLD", 1)
+            rel.maybe_retune()
+            while rel.live_stats()["migration_open"]:
+                rel.query(t(ns=0))
+    report = rel.retunes[-1]
+    if mode == "dual-write":
+        assert report.dual_write == (stage in ("copy", "verify", "swap"))
     assert rel.generation == 0
     assert rel.to_relation() == before
     rel.check_well_formed()
@@ -292,7 +312,10 @@ def test_retune_stage_failure_never_corrupts(site, error_type, stage):
     assert stats["failures"] == 1
     assert stats["consecutive_failures"] == 1
     assert stats["backoff_ops"] > 0
-    assert stats["last_error"] and stage in stats["last_error"]
+    assert not stats["migration_open"] and not stats["retune_pending"]
+    # The report and live_stats() carry the same stage-tagged error.
+    assert report.error == stats["last_error"]
+    assert report.error.startswith(f"{error_type.__name__}[{stage}]: ")
     if stage in ("compile", "verify", "copy", "swap"):
         assert stats["quarantined"], "failed layout was not quarantined"
     # Still fully serviceable after the failure (the warm-up saturated the
@@ -320,14 +343,14 @@ def test_quarantined_layout_is_never_retried():
 
 
 def test_circuit_breaker_opens_and_resets():
-    rel = live_relation(max_failures=2)
-    for _ in range(2):
+    rel = live_relation()
+    for _ in range(3):
         with inject("live.retune.tune"):
             with pytest.raises(RetuneFailed):
                 rel.retune()
     stats = rel.live_stats()
     assert stats["circuit_open"]
-    assert stats["consecutive_failures"] == 2
+    assert stats["consecutive_failures"] == 3
     # Explicit re-tunes are refused while open; automatic ones are skipped.
     with pytest.raises(RetuneFailed, match="circuit breaker open") as excinfo:
         rel.retune()
@@ -343,12 +366,12 @@ def test_circuit_breaker_opens_and_resets():
 
 
 def test_exponential_backoff_defers_automatic_retunes():
-    rel = live_relation(min_ops=4, backoff_factor=4.0, max_failures=10)
+    rel = live_relation(min_ops=4)
     with inject("live.retune.tune"):
         with pytest.raises(RetuneFailed):
             rel.retune()
     backoff = rel.live_stats()["backoff_ops"]
-    assert backoff == 16  # min_ops * backoff_factor ** 1
+    assert backoff == 8  # min_ops * 2 ** 1
     # Fewer than `backoff` ops since the failure: the drift check is deferred.
     for i in range(backoff - 1):
         rel.query(t(ns=i % 3))
@@ -442,8 +465,6 @@ def test_background_retune_happy_path():
 
 
 def test_background_retune_watchdog_abandons_stragglers(monkeypatch):
-    import repro.live as live_module
-
     real_autotune = live_module.autotune
 
     def slow_autotune(*args, **kwargs):
@@ -455,7 +476,7 @@ def test_background_retune_watchdog_abandons_stragglers(monkeypatch):
     before = rel.to_relation()
     report = rel.retune()
     time.sleep(0.05)
-    finished = rel._poll_background_tune()
+    finished = rel.finish_retune()
     assert finished is report
     assert report.error is not None and "watchdog" in report.error
     assert rel.generation == 0

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 import repro
+import repro.live as live_module
 from repro import (
     LiveRelation,
     ReferenceRelation,
@@ -30,6 +31,7 @@ from repro import (
     parse_decomposition,
     t,
 )
+from repro.autotuner.enumerator import canonical_shape
 from repro.codegen import clear_codegen_cache, codegen_cache_stats
 from repro.core.errors import FunctionalDependencyError, LiveRelationError
 from repro.core.tuples import Tuple
@@ -270,8 +272,49 @@ class TestRetune:
         live.finish_migration()
         live.retune()  # fine again once drained
 
-    def test_dual_write_threshold_routes_large_instances(self):
-        live = self.make_live(dual_write_threshold=10)  # 40 rows >= 10
+    def test_guard_skips_a_winner_that_cannot_pay_for_the_migration(self, monkeypatch):
+        """A winner that beats the current layout by one access cannot pay
+        for migrating every row: the guard keeps the current layout, and a
+        skip is not a failure.  The search is real but its exact counts are
+        pinned, so the decision does not depend on the hash seed."""
+        real_autotune = live_module.autotune
+        forward = canonical_shape(parse_decomposition(FORWARD_LAYOUT))
+
+        def marginal_autotune(*args, **kwargs):
+            tuning = real_autotune(*args, **kwargs)
+            replayed = tuning.replayed
+            current = next(c for c in replayed if canonical_shape(c.decomposition) == forward)
+            winner = next(c for c in replayed if c is not current)
+            winner.accesses = current.accesses - 1
+            replayed.remove(winner)
+            replayed.insert(0, winner)
+            tuning.winner = winner
+            return tuning
+
+        monkeypatch.setattr(live_module, "autotune", marginal_autotune)
+        live = self.make_live(min_ops=1)
+        for _ in range(100):
+            live.query(t(dst=3), None)
+        before = live.to_relation()
+        report = live.retune()
+        assert not report.swapped
+        assert live.generation == 0
+        assert report.new_layout == report.old_layout
+        assert report.guard["skipped"]
+        assert report.guard["projected_savings"] < report.guard["migration_cost"]
+        assert live.to_relation() == before
+        stats = live.live_stats()
+        assert stats["guard_skips"] == 1
+        assert stats["last_guard"] is report.guard
+        assert report.error is None
+        assert stats["failures"] == stats["consecutive_failures"] == 0
+        assert stats["backoff_ops"] == 0
+        assert stats["last_error"] is None
+        assert not stats["quarantined"]
+
+    def test_dual_write_threshold_routes_large_instances(self, monkeypatch):
+        monkeypatch.setattr(live_module, "DUAL_WRITE_THRESHOLD", 10)  # 40 rows >= 10
+        live = self.make_live()
         for _ in range(100):
             live.query(t(dst=3), None)
         report = live.retune()  # dual_write not forced: policy decides
@@ -320,6 +363,16 @@ class TestFacadeContract:
             RetunePolicy(min_ops=0)
         with pytest.raises(LiveRelationError):
             RetunePolicy(drift_threshold=0.0)
+
+    def test_unknown_policy_fields_name_the_valid_ones(self):
+        valid = "auto, min_ops, drift_threshold, migrate_batch, background, retune_timeout"
+        # A typo, and a field the fixed failure policy replaced.
+        for bad, field in (({"min_op": 5}, "min_op"), ({"guard": False}, "guard")):
+            with pytest.raises(LiveRelationError) as excinfo:
+                repro.open(EDGE_SPEC, live=True, policy=bad)
+            message = str(excinfo.value)
+            assert f"unknown tune policy field(s) {field};" in message
+            assert message.endswith(f"valid fields: {valid}")
 
 
 # -- the unified factory -----------------------------------------------------------

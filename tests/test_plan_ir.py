@@ -248,7 +248,7 @@ class TestCompiledJoinTier:
     def test_compiled_plan_table_contains_the_join(self):
         d = parse_decomposition(SPLIT)
         cls = compile_relation(GRAPH_SPEC, d, sizes=join_friendly_sizes(d))
-        assert "join[" in cls.__source__
+        assert "join[" in cls.__repro_source__
 
     def test_compiled_join_agrees_with_reference_and_counts_less(self):
         d = parse_decomposition(SPLIT)
@@ -296,7 +296,7 @@ class TestCompiledHashJoin:
 
         monkeypatch.setattr(compiler_mod, "plan_query", forced)
         cls = compile_relation(GRAPH_SPEC, d, class_name="Compiled_hash_join_test")
-        assert "_tbl" in cls.__source__  # The temporary-table emission ran.
+        assert "_tbl" in cls.__repro_source__  # The temporary-table emission ran.
 
         compiled = cls()
         _, ref = populated()
