@@ -12,8 +12,8 @@ tables.  Four disciplines make that code trustworthy, and all four are
 * **Honest asymptotics** — every counted container probe (a two-argument
   ``.get`` or an ``.items()`` scan) is dominated by an
   ``if en: _C.accesses += ...`` charge, so the benchmark counters can't
-  silently under-report (the list-strategy helpers charge internally and
-  are audited separately).
+  silently under-report (the list-strategy helpers charge internally; they
+  live in :mod:`repro.codegen.runtime` and are audited there).
 * **Fault-site hygiene** — every ``_F.check(site)`` is guarded by the
   injector's ``active`` flag and names a site registered with
   :mod:`repro.faults`, so the chaos sweep actually reaches it.
@@ -23,8 +23,9 @@ tables.  Four disciplines make that code trustworthy, and all four are
   proved batch-removable.
 
 The checks run on ``cls.__repro_source__`` (persisted by
-:func:`repro.codegen.compile_relation`) and cross-check the compiler's own
-``__repro_meta__`` record; sampled chaos/differential testing covers the
+:func:`repro.codegen.compile_relation`) plus the source of the runtime
+module it imports its list helpers from, and cross-check the compiler's
+own ``__repro_meta__`` record; sampled chaos/differential testing covers the
 *semantics*, this pass proves the *structure* on every emitted path of
 every layout.
 
@@ -36,7 +37,7 @@ EA010    container mutation outside any try/rollback scope
 EA011    container mutation whose statement list carries no journal entry
 EA012    rollback handler missing the ``_undo`` replay (or the re-raise)
 EA020    counted container probe not dominated by an access charge
-EA021    list-strategy helper missing its internal charge or journal
+EA021    runtime list helper missing (or missing its charge or journal)
 EA030    fault check names an unregistered site
 EA031    fault check not guarded by the injector's ``active`` flag
 EA032    fault check site is not a string literal
@@ -53,6 +54,7 @@ EA050    attribute written outside the declared attribute set
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -66,9 +68,8 @@ __all__ = ["verify_class", "verify_source"]
 _MUTATOR_RE = re.compile(r"^(insert|_insert_row|remove|_remove_row|update|_update_in_place|_rm_\d+)$")
 
 #: Methods holding the charge discipline: every counted probe they perform
-#: must be dominated by an access charge.  ``check_well_formed`` /
-#: ``to_relation`` are deliberately uncounted (inspection, not operation),
-#: and ``query``/``_query_rows`` only touch caches and dispatch dicts.
+#: must be dominated by an access charge.  ``check_well_formed`` is
+#: deliberately uncounted (inspection, not operation).
 _CHARGED_RE = re.compile(
     r"^(insert|_insert_row|remove|_remove_row|update|_update_in_place"
     r"|_rm_\d+|_qv_\d+|_q_\d+|_rows_path_\d+|_range_rows)$"
@@ -86,7 +87,9 @@ _BOOKKEEPING_ATTRS = frozenset(
 #: record's identity map, not a traversed index structure.
 _REGISTRY_ATTR_RE = re.compile(r"^_s\d+$")
 
-_LIST_HELPERS = ("_l_get", "_l_put", "_l_del", "_l_put_j", "_l_del_j")
+#: The list-strategy helpers every emitted module imports from
+#: :mod:`repro.codegen.runtime`; the journalling ones mutate.
+_LIST_HELPERS = ("_l_get", "_l_put_j", "_l_del_j")
 _JOURNALLING_HELPERS = frozenset(("_l_put_j", "_l_del_j"))
 
 #: Container methods that mutate their receiver.
@@ -133,13 +136,16 @@ def verify_source(
     spec=None,
     decomposition=None,
     registered_sites: Optional[Set[str]] = None,
+    runtime_source: Optional[str] = None,
 ) -> List[Diagnostic]:
     """Verify emitted module *source*; returns the findings (possibly empty).
 
     *meta* is the compiler's ``__repro_meta__`` record (cross-checked when
     given); *spec*/*decomposition* enable the independent recomputation of
     the adequate bound-pattern set; *registered_sites* overrides the live
-    fault registry (tests use this to orphan a site deterministically).
+    fault registry (tests use this to orphan a site deterministically);
+    *runtime_source* overrides the source of :mod:`repro.codegen.runtime`,
+    whose list helpers are audited (tests pass a corrupted copy).
     """
     if registered_sites is None:
         registered_sites = set(FAULTS.sites())
@@ -159,7 +165,11 @@ def verify_source(
         )
         return diags
 
-    _check_helpers(model, diags)
+    if runtime_source is None:
+        from ..codegen import runtime
+
+        runtime_source = inspect.getsource(runtime)
+    _check_helpers(model, ast.parse(runtime_source), diags)
     for method in model.methods.values():
         _MethodChecker(model, method, diags, registered_sites).run()
     _check_attributes(model, diags)
@@ -172,23 +182,19 @@ def verify_source(
 
 
 class _ModuleModel:
-    """Parsed structure of one emitted module: class, helpers, dispatch."""
+    """Parsed structure of one emitted module: class and dispatch tables."""
 
     def __init__(self, tree: ast.Module, name: str) -> None:
         self.name = name
         self.cls: Optional[ast.ClassDef] = None
-        self.helpers: Dict[str, ast.FunctionDef] = {}
         self.dispatch: Dict[str, ast.expr] = {}
         self.cols: Tuple[str, ...] = ()
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                # The relation class is the one deriving RelationInterface;
-                # the `_L` list-container class has no bases beyond `list`.
+                # The relation class derives the runtime's CompiledRelation.
                 bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
-                if "RelationInterface" in bases or (self.cls is None and node.name != "_L"):
+                if "CompiledRelation" in bases or self.cls is None:
                     self.cls = node
-            elif isinstance(node, ast.FunctionDef):
-                self.helpers[node.name] = node
             elif isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
@@ -649,18 +655,9 @@ class _MethodChecker:
                 base_kind = _container_kind(call.func.value, self.env)
                 if base_kind and call.func.attr in _MUTATING_METHODS:
                     return call, f"container .{call.func.attr}() mutation", False
-            elif isinstance(call.func, ast.Name) and call.func.id in (
-                "_l_put",
-                "_l_del",
-                "_l_put_j",
-                "_l_del_j",
-            ):
+            elif isinstance(call.func, ast.Name) and call.func.id in _JOURNALLING_HELPERS:
                 if call.args and _container_kind(call.args[0], self.env):
-                    return (
-                        call,
-                        f"list-helper {call.func.id}() mutation",
-                        call.func.id in _JOURNALLING_HELPERS,
-                    )
+                    return call, f"list-helper {call.func.id}() mutation", True
         return None
 
 
@@ -683,12 +680,12 @@ def _try_has_rollback(stmt: ast.Try) -> bool:
 # -- helper audit ---------------------------------------------------------------
 
 
-def _check_helpers(model: _ModuleModel, diags: List[Diagnostic]) -> None:
+def _check_helpers(model: _ModuleModel, runtime: ast.Module, diags: List[Diagnostic]) -> None:
+    """EA021/EA011 on the runtime's list helpers the emitted code calls."""
+    helpers = {node.name: node for node in runtime.body if isinstance(node, ast.FunctionDef)}
     for helper_name in _LIST_HELPERS:
-        fn = model.helpers.get(helper_name)
-        if fn is None:
-            continue
-        charges = any(
+        fn = helpers.get(helper_name)
+        charges = fn is not None and any(
             isinstance(node, ast.AugAssign)
             and isinstance(node.target, ast.Attribute)
             and isinstance(node.target.value, ast.Name)
@@ -701,11 +698,13 @@ def _check_helpers(model: _ModuleModel, diags: List[Diagnostic]) -> None:
                 Diagnostic(
                     "EA021",
                     ERROR,
-                    f"list helper {helper_name}() never charges _C.accesses — "
-                    "its walks would be invisible to the counters",
-                    Loc(model.name, helper_name, fn.lineno),
+                    f"list helper {helper_name}() is missing from the runtime or never "
+                    "charges _C.accesses — its walks would be invisible to the counters",
+                    Loc(model.name, helper_name, getattr(fn, "lineno", 0)),
                 )
             )
+        if fn is None:
+            continue
         if helper_name in _JOURNALLING_HELPERS:
             journals = any(
                 isinstance(node, ast.Call)

@@ -4,7 +4,7 @@ RELC's headline result is that *synthesized* representations are compiled —
 the C++ generator emits specialised member functions for each decomposition.
 This package is the reproduction's equivalent on top of the Python stack:
 
-* :func:`generate_source` — emit the source of a standalone relation class
+* :func:`generate_source` — emit the source of a relation class
   specialised to one ``(RelationSpec, Decomposition)`` pair: unrolled
   insert/remove paths over plain dicts/lists, and per-pattern query methods
   generated from query plans behind a compile-time dispatch table;
@@ -24,7 +24,7 @@ compiled       ``compile_relation(spec, d)()``     straight-line specialised
 =============  ==================================  =========================
 
 ``benchmarks/`` drives all three through identical traces and records the
-resulting throughput and operation counts in ``BENCH_5.json``.
+resulting throughput and operation counts in ``BENCH_6.json``.
 """
 
 from .compiler import (

@@ -1,4 +1,4 @@
-"""Compile a ``(RelationSpec, Decomposition)`` pair into a standalone class.
+"""Compile a ``(RelationSpec, Decomposition)`` pair into a specialised class.
 
 This is the reproduction's counterpart of RELC's C++ code generator: where
 :class:`~repro.decomposition.relation.DecomposedRelation` *interprets* a
@@ -38,10 +38,13 @@ scans and no per-branch copies.  The registry mirrors the interpreted
 tier's shared-node registry and is likewise not charged to the counter
 (it models the record pointer generated C++ would already hold).
 
-The generated source is self-contained: it imports only stable ``repro``
-entry points, reconstructs its specification literally, and can be written
-to disk and inspected (``compile_relation`` attaches it as
-``__repro_source__``).
+Every container mutation is emitted by one primitive, ``_touch`` (fault
+site, charge, journal entry and mutation together), inside one rollback
+scope, ``_rollback``.  The generated module holds only the layout-specific
+code: it imports the layout-independent half from
+:mod:`repro.codegen.runtime`, reconstructs its specification literally,
+and can be written to disk and inspected (``compile_relation`` attaches it
+as ``__repro_source__``).
 """
 
 from __future__ import annotations
@@ -49,8 +52,11 @@ from __future__ import annotations
 import linecache
 import re
 import threading
+import weakref
+from contextlib import contextmanager
 from itertools import count as _count_from
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional
+from typing import Collection, Sequence, Union
 
 from ..core.errors import DecompositionError
 from ..core.spec import RelationSpec
@@ -67,6 +73,7 @@ from ..decomposition.plan import (
     JoinPlan,
     LookupStep,
     PlanStep,
+    QueryPlan,
     ScanStep,
     plan_query,
     residual_update_columns,
@@ -74,6 +81,7 @@ from ..decomposition.plan import (
 from ..faults import register_site
 from ..structures.registry import canonical_structure_name, size_class
 from .emitter import Emitter
+from .runtime import J_APPENDED, J_CELL, J_COUNT, J_FRESH, J_ROOT, J_SET
 
 __all__ = [
     "MAX_ENUMERATED_COLUMNS",
@@ -122,6 +130,28 @@ def _default_class_name(decomposition_name: str) -> str:
     return "Compiled_" + sanitized
 
 
+def _frozenset_literal(cols: FrozenSet[str]) -> str:
+    if not cols:
+        return "frozenset()"
+    return "frozenset((" + ", ".join(repr(c) for c in sorted(cols)) + ",))"
+
+
+class _Pattern(NamedTuple):
+    """One bound-pattern column set: its mask, its plan, whether it is
+    batch-removable (see ``_is_batch_removable``) and the names of the
+    methods emitted for it — the one record ``_PLANS``, ``_VPLANS``, ``_RM``
+    and ``__repro_meta__`` are all written from."""
+
+    cols: FrozenSet[str]
+    mask: int
+    plan: Union[QueryPlan, JoinPlan]
+    batch: bool
+
+    q = property(lambda self: f"_q_{self.mask}")  # dict adapter (_PLANS)
+    qv = property(lambda self: f"_qv_{self.mask}")  # positional core (_VPLANS)
+    rm = property(lambda self: f"_rm_{self.mask}")  # fused remover (_RM)
+
+
 class _RelationCompiler:
     """Single-use compiler from one (spec, decomposition) pair to source."""
 
@@ -159,19 +189,14 @@ class _RelationCompiler:
         }
         self.em = Emitter()
         self._symbols = 0
+        #: What a chain miss emits outside any loop (see _query_frame).
+        self._chain_return = "return"
 
     # -- small expression helpers ----------------------------------------------
 
     def _gensym(self, prefix: str) -> str:
         self._symbols += 1
         return f"{prefix}{self._symbols}"
-
-    def _reset_symbols(self) -> None:
-        self._symbols = 0
-        #: What a chain miss emits outside any loop.  Methods return plain
-        #: ``return``; the list-building query cores set ``return out`` so a
-        #: miss hands back the (possibly empty) result list.
-        self._chain_return = "return"
 
     def _vexpr(self, col: str) -> str:
         """The local variable holding *col*'s value in row-bound methods."""
@@ -188,19 +213,21 @@ class _RelationCompiler:
             return f"({parts[0]},)"
         return "(" + ", ".join(parts) + ")"
 
+    @staticmethod
+    def _values_expr(cols: Collection[str], val: Callable[[str], str], empty: str = "True") -> str:
+        """A container key or unit residual: the bare value of one column, a
+        tuple over several (in column order), *empty* for none."""
+        if not cols:
+            return empty
+        if len(cols) == 1:
+            return val(next(iter(cols)))
+        return "(" + ", ".join(val(c) for c in sorted(cols)) + ")"
+
     def _key_expr(self, edge: MapEdge, val: Callable[[str], str]) -> str:
-        key_cols = sorted(edge.key)
-        if len(key_cols) == 1:
-            return val(key_cols[0])
-        return "(" + ", ".join(val(c) for c in key_cols) + ")"
+        return self._values_expr(edge.key, val)
 
     def _residual_expr(self, leaf: DecompNode, val: Callable[[str], str]) -> str:
-        unit_cols = sorted(leaf.unit_columns)
-        if not unit_cols:
-            return "True"
-        if len(unit_cols) == 1:
-            return val(unit_cols[0])
-        return "(" + ", ".join(val(c) for c in unit_cols) + ")"
+        return self._values_expr(leaf.unit_columns, val)
 
     def _container_expr(self, node: DecompNode, inst_expr: str, edge_index: int) -> str:
         if len(node.edges) == 1:
@@ -236,61 +263,153 @@ class _RelationCompiler:
             return "[None]"
         return self._node_literal(node)
 
-    def _emit_access_count(
-        self, edge: MapEdge, cexpr: str, scan: bool = False, op: str = "lookup"
-    ) -> None:
-        strategy = _strategy(edge)
-        if scan:
-            self.em.line(f"if en: _C.accesses += len({cexpr})")
-        elif strategy == "tree":
-            self.em.line(f"if en: _C.accesses += max(1, len({cexpr}).bit_length())")
-        elif strategy == "intrusive":
-            if op == "lookup":
-                # An unordered intrusive list cannot probe by key: a key
-                # search walks the links, so it is charged like a scan.
-                self.em.line(f"if en: _C.accesses += max(1, len({cexpr}))")
-            else:  # link / unlink: the intrusive O(1) operations.
-                self.em.line("if en: _C.accesses += 1")
-        elif strategy != "list":  # list probes are counted inside the helpers
-            self.em.line("if en: _C.accesses += 1")
+    # -- emission primitives -----------------------------------------------------
 
-    def _emit_get(self, edge: MapEdge, target: str, cexpr: str, kexpr: str) -> None:
+    def _emit_charge(
+        self, edge: MapEdge, cexpr: str, op: str = "lookup", paid: bool = False
+    ) -> None:
+        """Charge one modelled *op* (``lookup``, ``scan`` or a :meth:`_touch`
+        op) on *edge*'s container.  *paid*: a probe of this container just
+        paid for it — hash/tree links and unlinks ride on that charge, but an
+        intrusive unlink still pays its O(1) pointer splice (its probe was a
+        key *search*)."""
+        strategy = _strategy(edge)
+        if paid and not (op == "unlink" and strategy == "intrusive"):
+            return
+        if op == "scan":
+            cost = f"len({cexpr})"
+        elif strategy == "list":
+            # List probes, stores and unlinks walk the entries inside the
+            # helpers, which charge per visited entry; a link appends.
+            cost = "1" if op == "link" else ""
+        elif strategy == "tree":
+            cost = f"max(1, len({cexpr}).bit_length())"
+        elif strategy == "intrusive" and op in ("lookup", "store"):
+            # An unordered intrusive list cannot probe by key: a key search
+            # walks the links, so it is charged like a scan.
+            cost = f"max(1, len({cexpr}))"
+        else:
+            cost = "1"
+        if cost:
+            self.em.line(f"if en: _C.accesses += {cost}")
+
+    def _touch(
+        self,
+        op: str,
+        c: str = "",
+        k: str = "",
+        v: str = "",
+        edge: Optional[MapEdge] = None,
+        site: str = "",
+        paid: bool = False,
+    ) -> None:
+        """Emit one mutation of container *c* with all of its disciplines, in
+        order: the ``_fa``-guarded fault check for *site*, the charge of *op*
+        when *c* is *edge*'s container (the shared-node registries, shared
+        cells and unit root are uncounted), the undo-journal entry, and the
+        mutation: ``store`` (``c[k] = v``, displacing any old value),
+        ``link`` (a known-new entry), ``unlink`` (a known-present entry),
+        ``pop`` (registry binding *k* whose cell is *v*), ``root``
+        (``self._root = v``) or ``cell`` (``c[0] = v``)."""
+        if site:
+            self.em.fault_check(site)
+        if edge is not None:
+            self._emit_charge(edge, c, op, paid)
+        if edge is not None and _strategy(edge) == "list":
+            # The runtime helpers walk, journal and index list entries; a
+            # link appends a known-new entry and indexes it here.
+            lines = {
+                "store": [f"_l_put_j({c}, {k}, {v}, _j)"],
+                "link": [f"{c}.append([{k}, {v}])", f"{c}.idx[{k}] = {c}[-1]"],
+                "unlink": [f"_l_del_j({c}, {k}, _j)"],
+            }[op]
+            if op == "link":
+                lines.append(f"_j.append(({J_APPENDED}, {c}))")
+        else:
+            # A store's uncounted .get captures the displaced residual (if
+            # any) for the rollback block.
+            lines = {
+                "store": [
+                    f"_j.append(({J_SET}, {c}, {k}, {c}.get({k}, _MISS)))",
+                    f"{c}[{k}] = {v}",
+                ],
+                "link": [f"{c}[{k}] = {v}", f"_j.append(({J_FRESH}, {c}, {k}))"],
+                "unlink": [f"_j.append(({J_SET}, {c}, {k}, {c}[{k}]))", f"del {c}[{k}]"],
+                "pop": [f"_j.append(({J_SET}, {c}, {k}, {v}))", f"{c}.pop({k}, None)"],
+                "root": [f"_j.append(({J_ROOT}, self, self._root))", f"self._root = {v}"],
+                "cell": [f"_j.append(({J_CELL}, {c}, {c}[0]))", f"{c}[0] = {v}"],
+            }[op]
+        self.em.lines(*lines)
+
+    @contextmanager
+    def _rollback(self, enlist: bool = False) -> Iterator[None]:
+        """Emit a mutator's rollback scope around the ``with`` body: the undo
+        journal ``_j`` (with *enlist*, the caller's when one is passed in;
+        ``_own`` records which), ``try:``, and an ``except BaseException:``
+        handler that replays an owned journal with ``_undo`` and re-raises."""
+        em = self.em
+        if enlist:
+            em.line("_own = _j is None")
+            em.line("if _own:")
+            with em.indent():
+                em.line("_j = []")
+        else:
+            em.line("_j = []")
+        em.line("try:")
+        with em.indent():
+            yield
+        em.line("except BaseException:")
+        with em.indent():
+            if enlist:
+                em.line("if _own:")
+                with em.indent():
+                    em.line("_undo(_j)")
+            else:
+                em.line("_undo(_j)")
+            em.line("raise")
+
+    @contextmanager
+    def _method(self, signature: str, doc: str = "", fresh: bool = False) -> Iterator[None]:
+        """Emit ``def <signature>:`` and its docstring, indent the ``with``
+        body into it, and close with a blank line; *fresh* restarts the
+        gensym counter."""
+        if fresh:
+            self._symbols = 0
+        self.em.line(f"def {signature}:")
+        with self.em.indent():
+            if doc:
+                self.em.docstring(doc)
+            yield
+        self.em.line()
+
+    @contextmanager
+    def _query_frame(self) -> Iterator[None]:
+        """Emit the row-list builder frame of every query method; a chain miss
+        outside any loop returns the list built so far.  A list, not a
+        generator: the callers always consume every row, so eager
+        construction charges the same accesses while skipping the per-row
+        resume cost of the generator protocol."""
+        em = self.em
+        em.line("en = _C.enabled")
+        em.line("out = []")
+        em.line("ap = out.append")
+        self._chain_return = "return out"
+        yield
+        em.line("return out")
+        self._chain_return = "return"
+
+    def _emit_get(
+        self, edge: MapEdge, target: str, cexpr: str, kexpr: str, charge: bool = True
+    ) -> None:
         # _MISS (not None) is the missing-entry sentinel throughout: None is
         # a legal stored value, so a unit residual of None must stay
         # distinguishable from an absent entry.
-        self._emit_access_count(edge, cexpr)
+        if charge:
+            self._emit_charge(edge, cexpr)
         if _strategy(edge) == "list":
             self.em.line(f"{target} = _l_get({cexpr}, {kexpr})")
         else:
             self.em.line(f"{target} = {cexpr}.get({kexpr}, _MISS)")
-
-    def _emit_unlink(
-        self, edge: MapEdge, cexpr: str, kexpr: str, probe_paid: bool = True
-    ) -> None:
-        """Delete an entry the emitted code has already proven present.
-
-        When *probe_paid* (the non-shared walk: an ``_emit_get`` probe on
-        this container immediately precedes), hash/tree deletes ride on
-        that charge.  The shared-node fast path reaches the container with
-        no preceding probe (the hit was decided against the registry), so
-        it passes ``probe_paid=False`` and the delete is charged like the
-        probe the interpreted tier's key-based removal pays.  Intrusive
-        unlinks always charge their single access — their preceding probe,
-        if any, was a key *search*, and the O(1) unlink is a separate
-        pointer splice.
-
-        Every unlink carries a ``codegen.remove.unlink`` injection site and
-        journals the deleted entry (an uncounted read) so the enclosing
-        mutator's rollback block can relink it."""
-        strategy = _strategy(edge)
-        self.em.fault_check("codegen.remove.unlink", guard="_fa")
-        if strategy == "list":
-            self.em.line(f"_l_del_j({cexpr}, {kexpr}, _j)")
-            return
-        if strategy == "intrusive" or not probe_paid:
-            self._emit_access_count(edge, cexpr, op="unlink")
-        self.em.line(f"_j.append((0, {cexpr}, {kexpr}, {cexpr}[{kexpr}]))")
-        self.em.line(f"del {cexpr}[{kexpr}]")
 
     def _residual_condition(self, leaf: DecompNode, uvar: str, val: Callable[[str], str]) -> str:
         if self._is_shared(leaf):
@@ -386,7 +505,7 @@ class _RelationCompiler:
                 with em.indent():
                     em.line(fail())
             else:
-                self._emit_access_count(e, cvar, scan=True)
+                self._emit_charge(e, cvar, "scan")
                 kvar = self._gensym("k")
                 nvar = self._gensym("n")
                 if _strategy(e) == "list":
@@ -431,29 +550,12 @@ class _RelationCompiler:
         specialised generator without building a dict."""
         return {col: f"p{self.col_index[col]}" for col in sorted(pattern_cols)}
 
-    def _emit_plan_rows(
-        self, path: Path, steps: Sequence[PlanStep], pattern_cols: FrozenSet[str]
-    ) -> None:
-        """Emit the body of a row-list builder walking one full-coverage
-        chain, appending plain rows (value tuples in sorted column order).
-
-        A list, not a generator: the callers always consume every row, so
-        eager construction charges the same accesses while skipping the
-        per-row resume cost of the generator protocol."""
-        em = self.em
-        em.line("en = _C.enabled")
-        em.line("out = []")
-        em.line("ap = out.append")
-        self._chain_return = "return out"
-        pvars = self._pattern_vars(pattern_cols)
-        exprs, opened_loops = self._emit_chain(path, steps, pvars, in_loop=False)
-        em.line("ap(" + self._tuple_literal([exprs[c] for c in self.cols]) + ")")
-        em.pop(opened_loops)
-        em.line("return out")
-        self._chain_return = "return"
+    def _emit_row(self, exprs: Dict[str, str]) -> None:
+        self.em.line("ap(" + self._tuple_literal([exprs[c] for c in self.cols]) + ")")
 
     def _emit_join_rows(self, plan: JoinPlan, pattern_cols: FrozenSet[str]) -> None:
-        """Emit a join query method: build side first, then the probe side.
+        """Emit a join query method's body: build side first, then the probe
+        side.
 
         ``style == "probe"``: the probe chain is emitted *inside* the build
         side's loops with the build row's columns bound, so probe lookups
@@ -464,10 +566,6 @@ class _RelationCompiler:
         per temporary insert and per probe, matching the interpreted tier.
         """
         em = self.em
-        em.line("en = _C.enabled")
-        em.line("out = []")
-        em.line("ap = out.append")
-        self._chain_return = "return out"
         pvars = self._pattern_vars(pattern_cols)
         if plan.style == "probe":
             build_exprs, build_loops = self._emit_chain(
@@ -476,10 +574,8 @@ class _RelationCompiler:
             exprs, probe_loops = self._emit_chain(
                 plan.probe.path, plan.probe.steps, build_exprs, in_loop=build_loops > 0
             )
-            em.line("ap(" + self._tuple_literal([exprs[c] for c in self.cols]) + ")")
+            self._emit_row(exprs)
             em.pop(build_loops + probe_loops)
-            em.line("return out")
-            self._chain_return = "return"
             return
         on_cols = sorted(plan.on)
         build_cols = sorted(plan.build.produced)
@@ -499,95 +595,82 @@ class _RelationCompiler:
         pkey = self._tuple_literal([probe_exprs[c] for c in on_cols])
         em.line(f"for _m in _tbl.get({pkey}, ()):")
         em.push()
-        build_pos = {c: i for i, c in enumerate(build_cols)}
-        merged = [
-            probe_exprs[c] if c in probe_exprs else f"_m[{build_pos[c]}]"
-            for c in self.cols
-        ]
-        em.line("ap(" + self._tuple_literal(merged) + ")")
+        build_side = {c: f"_m[{i}]" for i, c in enumerate(build_cols)}
+        self._emit_row({**build_side, **probe_exprs})
         em.pop(1 + probe_loops)
-        em.line("return out")
-        self._chain_return = "return"
 
-    def _emit_query_method(self, subset: FrozenSet[str], plan) -> str:
-        mask = self._mask(subset)
-        name = f"_q_{mask}"
-        params = [f"p{self.col_index[c]}" for c in sorted(subset)]
-        self._reset_symbols()
+    def _emit_query_method(self, pattern: _Pattern) -> None:
+        em = self.em
+        params = [f"p{self.col_index[c]}" for c in sorted(pattern.cols)]
+        cols = "{" + ", ".join(sorted(pattern.cols)) + "}"
         # The positional core: pattern values arrive as parameters (in
         # sorted column order — Tuple._items order), bound once at call
         # time instead of through per-call dict loads.
-        signature = ", ".join(["self"] + params)
-        with self.em.block(f"def _qv_{mask}({signature}):"):
-            pattern = "{" + ", ".join(sorted(subset)) + "}"
-            self.em.docstring(f"Pattern over {pattern}; plan: {plan.describe()}.")
-            if isinstance(plan, JoinPlan):
-                self._emit_join_rows(plan, subset)
-            else:
-                self._emit_plan_rows(plan.path, plan.steps, subset)
-        self.em.line()
-        # Thin dict-pattern adapter kept for the _PLANS table and callers
-        # holding a plain mapping.
-        with self.em.block(f"def {name}(self, p):"):
-            args = ", ".join(f"p[{c!r}]" for c in sorted(subset))
-            self.em.line(f"return self._qv_{mask}({args})" if args else f"return self._qv_{mask}()")
-        self.em.line()
-        return name
+        with self._method(
+            f"{pattern.qv}({', '.join(['self'] + params)})",
+            f"Pattern over {cols}; plan: {pattern.plan.describe()}.",
+            fresh=True,
+        ):
+            with self._query_frame():
+                if isinstance(pattern.plan, JoinPlan):
+                    self._emit_join_rows(pattern.plan, pattern.cols)
+                else:
+                    exprs, opened_loops = self._emit_chain(
+                        pattern.plan.path,
+                        pattern.plan.steps,
+                        self._pattern_vars(pattern.cols),
+                        in_loop=False,
+                    )
+                    self._emit_row(exprs)
+                    em.pop(opened_loops)
+        # The dict-pattern adapter: _query_rows and update reach the
+        # positional core through _PLANS with a plain mapping.
+        with self._method(f"{pattern.q}(self, p)"):
+            args = ", ".join(f"p[{c!r}]" for c in sorted(pattern.cols))
+            em.line(f"return self.{pattern.qv}({args})")
 
     def _emit_rows_path(self, index: int) -> None:
+        em = self.em
         path = self.paths[index]
         steps = [ScanStep(e, i) for e, i in zip(path.edges, path.edge_indices)]
         out_cols = sorted(path.covered)
-        self._reset_symbols()
-        with self.em.block(f"def _rows_path_{index}(self):"):
-            self.em.docstring(
-                f"Scan every row via path {index}: {path.describe()}."
-                + (
-                    ""
-                    if frozenset(out_cols) == frozenset(self.cols)
-                    else f"  Key-projection branch: rows cover ({', '.join(out_cols)})."
-                )
-            )
-            self.em.line("en = _C.enabled")
+        with self._method(
+            f"_rows_path_{index}(self)",
+            f"Scan every row via path {index}: {path.describe()}."
+            + (
+                ""
+                if frozenset(out_cols) == frozenset(self.cols)
+                else f"  Key-projection branch: rows cover ({', '.join(out_cols)})."
+            ),
+            fresh=True,
+        ):
+            em.line("en = _C.enabled")
             exprs, opened_loops = self._emit_chain(path, steps, {}, in_loop=False)
-            self.em.line("yield " + self._tuple_literal([exprs[c] for c in out_cols]))
-            self.em.pop(opened_loops)
-        self.em.line()
+            em.line("yield " + self._tuple_literal([exprs[c] for c in out_cols]))
+            em.pop(opened_loops)
 
     # -- straight-line walks for the mutators ------------------------------------
 
-    def _emit_presence_check(self, on_hit: Sequence[str]) -> None:
-        """Nested lookups along the primary path; *on_hit* runs when the
-        exact row is already stored."""
+    def _emit_presence_check(self) -> None:
+        """Nested lookups along the primary path, returning ``False`` when
+        the exact row is already stored."""
         em = self.em
         path = self.paths[0]
-        if not path.edges:
-            cond = self._residual_condition(path.leaf, "self._root", self._vexpr)
-            em.line(f"if {cond}:")
-            with em.indent():
-                for stmt in on_hit:
-                    em.line(stmt)
-            return
         node = self.decomposition.root
         current = "self._root"
-        opened = 0
         for depth, (e, idx) in enumerate(zip(path.edges, path.edge_indices)):
-            cexpr = self._container_expr(node, current, idx)
-            kexpr = self._key_expr(e, self._vexpr)
-            nvar = self._gensym("n")
-            self._emit_get(e, nvar, cexpr, kexpr)
-            if depth == len(path.edges) - 1:
-                em.line(f"if {self._residual_condition(path.leaf, nvar, self._vexpr)}:")
-                with em.indent():
-                    for stmt in on_hit:
-                        em.line(stmt)
-            else:
-                em.line(f"if {nvar} is not _MISS:")
+            if depth:
+                em.line(f"if {current} is not _MISS:")
                 em.push()
-                opened += 1
+            cexpr = self._container_expr(node, current, idx)
+            nvar = self._gensym("n")
+            self._emit_get(e, nvar, cexpr, self._key_expr(e, self._vexpr))
             node = e.child
             current = nvar
-        em.pop(opened)
+        em.line(f"if {self._residual_condition(path.leaf, current, self._vexpr)}:")
+        with em.indent():
+            em.line("return False")
+        em.pop(max(0, len(path.edges) - 1))
 
     def _emit_fd_eviction(self) -> None:
         """Collect every stored row FD-conflicting with the new row into
@@ -598,32 +681,40 @@ class _RelationCompiler:
         empty units yet must still agree with the other tiers."""
         em = self.em
         em.line("_conf = None")
-        for fd in self.spec.fds:
-            rhs = sorted(fd.rhs)
-            em.line(f"for _m in {self._fd_query_call(fd.lhs, self._vexpr)}:")
+
+        def collect(fd) -> None:
+            em.line("if _conf is None:")
             with em.indent():
-                differs = " or ".join(
-                    f"_m[{self.col_index[c]}] != {self._vexpr(c)}" for c in rhs
-                )
-                em.line(f"if {differs}:")
-                with em.indent():
-                    em.line("if _conf is None:")
-                    with em.indent():
-                        em.line("_conf = set()")
-                    em.line("_conf.add(_m)")
+                em.line("_conf = set()")
+            em.line("_conf.add(_m)")
+
+        self._emit_fd_conflicts(collect)
         em.line("if _conf:")
         with em.indent():
             em.line("for _r in _conf:")
             with em.indent():
-                em.fault_check("codegen.insert.fd_evict", guard="_fa")
+                em.fault_check("codegen.insert.fd_evict")
                 em.line("self._remove_row(_r, _j)")
+
+    def _emit_fd_conflicts(self, on_conflict: Callable[..., None]) -> None:
+        """Per FD, loop ``_m`` over the stored rows sharing the bound row's
+        left-hand side and run *on_conflict(fd)* where the right-hand
+        sides differ."""
+        for fd in self.spec.fds:
+            self.em.line(f"for _m in {self._fd_query_call(fd.lhs, self._vexpr)}:")
+            with self.em.indent():
+                differs = " or ".join(
+                    f"_m[{self.col_index[c]}] != {self._vexpr(c)}" for c in sorted(fd.rhs)
+                )
+                self.em.line(f"if {differs}:")
+                with self.em.indent():
+                    on_conflict(fd)
 
     def _emit_store_walk(self, node: DecompNode, inst_expr: str, shared_emitted: set) -> None:
         em = self.em
         if node.is_unit:  # Unit root: the instance is the residual itself.
-            em.fault_check("codegen.insert.store", guard="_fa")
-            em.line("_j.append((5, self, self._root))")
-            em.line(f"self._root = {self._residual_expr(node, self._vexpr)}")
+            residual = self._residual_expr(node, self._vexpr)
+            self._touch("root", v=residual, site="codegen.insert.store")
             return
         for idx, e in enumerate(node.edges):
             cvar = self._gensym("c")
@@ -633,27 +724,14 @@ class _RelationCompiler:
                 self._emit_shared_store(e, cvar, kexpr, shared_emitted)
             elif e.child.is_unit:
                 residual = self._residual_expr(e.child, self._vexpr)
-                em.fault_check("codegen.insert.store", guard="_fa")
-                self._emit_access_count(e, cvar)
-                if _strategy(e) == "list":
-                    em.line(f"_l_put_j({cvar}, {kexpr}, {residual}, _j)")
-                else:
-                    # The uncounted .get captures the displaced residual (if
-                    # any) for the rollback block.
-                    em.line(f"_j.append((0, {cvar}, {kexpr}, {cvar}.get({kexpr}, _MISS)))")
-                    em.line(f"{cvar}[{kexpr}] = {residual}")
+                self._touch("store", cvar, kexpr, residual, e, site="codegen.insert.store")
             else:
                 nvar = self._gensym("n")
                 self._emit_get(e, nvar, cvar, kexpr)
                 em.line(f"if {nvar} is _MISS:")
                 with em.indent():
                     em.line(f"{nvar} = {self._node_literal(e.child)}")
-                    if _strategy(e) == "list":
-                        em.line(f"{cvar}.append([{kexpr}, {nvar}])")
-                        em.line(f"_j.append((4, {cvar}))")
-                    else:
-                        em.line(f"{cvar}[{kexpr}] = {nvar}")
-                        em.line(f"_j.append((1, {cvar}, {kexpr}))")
+                    self._touch("link", cvar, kexpr, nvar, e, paid=True)
                 self._emit_store_walk(e.child, nvar, shared_emitted)
 
     def _emit_shared_store(self, e: MapEdge, cvar: str, kexpr: str, shared_emitted: set) -> None:
@@ -663,38 +741,25 @@ class _RelationCompiler:
         no duplicate search is ever emitted (the intrusive O(1) link)."""
         em = self.em
         j = self.shared_index[id(e.child)]
+        cell = f"_sc{j}"
         descend = False
         if j not in shared_emitted:
             shared_emitted.add(j)
             em.line(f"_b{j} = {self._bk_expr(e.child, self._vexpr)}")
-            em.line(f"_sc{j} = self._s{j}.get(_b{j})")
-            em.line(f"_sn{j} = _sc{j} is None")
+            em.line(f"{cell} = self._s{j}.get(_b{j})")
+            em.line(f"_sn{j} = {cell} is None")
             em.line(f"if _sn{j}:")
             with em.indent():
-                em.fault_check("codegen.insert.registry", guard="_fa")
-                em.line(f"_sc{j} = {self._cell_literal(e.child)}")
-                em.line(f"self._s{j}[_b{j}] = _sc{j}")
-                em.line(f"_j.append((1, self._s{j}, _b{j}))")
-            if e.child.is_unit and e.child.unit_columns:
-                em.line(f"_j.append((2, _sc{j}, _sc{j}[0]))")
-                em.line(f"_sc{j}[0] = {self._residual_expr(e.child, self._vexpr)}")
-            elif e.child.is_unit:
-                em.line(f"_j.append((2, _sc{j}, _sc{j}[0]))")
-                em.line(f"_sc{j}[0] = True")
+                em.line(f"{cell} = {self._cell_literal(e.child)}")
+                self._touch("link", f"self._s{j}", f"_b{j}", cell, site="codegen.insert.registry")
+            if e.child.is_unit:
+                self._touch("cell", cell, v=self._residual_expr(e.child, self._vexpr))
             descend = not e.child.is_unit
         em.line(f"if _sn{j}:")
         with em.indent():
-            em.fault_check("codegen.insert.link_shared", guard="_fa")
-            if _strategy(e) == "list":
-                em.line("if en: _C.accesses += 1")
-                em.line(f"{cvar}.append([{kexpr}, _sc{j}])")
-                em.line(f"_j.append((4, {cvar}))")
-            else:
-                self._emit_access_count(e, cvar, op="link")
-                em.line(f"{cvar}[{kexpr}] = _sc{j}")
-                em.line(f"_j.append((1, {cvar}, {kexpr}))")
+            self._touch("link", cvar, kexpr, cell, e, site="codegen.insert.link_shared")
         if descend:
-            self._emit_store_walk(e.child, f"_sc{j}", shared_emitted)
+            self._emit_store_walk(e.child, cell, shared_emitted)
 
     def _emit_remove_walk(self, node: DecompNode, inst_expr: str, shared_emitted: set) -> None:
         em = self.em
@@ -702,73 +767,65 @@ class _RelationCompiler:
             cond = self._residual_condition(node, "self._root", self._vexpr)
             em.line(f"if {cond}:")
             with em.indent():
-                em.fault_check("codegen.remove.unlink", guard="_fa")
-                em.line("_j.append((5, self, self._root))")
-                em.line("self._root = _MISS")
+                self._touch("root", v="_MISS", site="codegen.remove.unlink")
                 em.line("removed = True")
             return
         for idx, e in enumerate(node.edges):
             cvar = self._gensym("c")
             em.line(f"{cvar} = {self._container_expr(node, inst_expr, idx)}")
             kexpr = self._key_expr(e, self._vexpr)
+            opened = 0
             if self._is_shared(e.child):
                 # The hit was decided once against the registry (_sh flags,
                 # see _emit_remove_row); each parent just unlinks — O(1) on
-                # intrusive branches, no per-branch victim scan.
+                # intrusive branches, no per-branch victim scan.  No probe
+                # precedes, so the unlink pays like a key-based removal.
                 j = self.shared_index[id(e.child)]
-                if e.child.is_unit:
-                    em.line(f"if _sh{j}:")
-                    with em.indent():
-                        self._emit_unlink(e, cvar, kexpr, probe_paid=False)
-                        em.line("removed = True")
-                else:
+                cond, paid = f"_sh{j}", False
+                if not e.child.is_unit:
                     if j not in shared_emitted:
                         shared_emitted.add(j)
                         em.line(f"if _sh{j}:")
                         with em.indent():
                             self._emit_remove_walk(e.child, f"_sc{j}", shared_emitted)
                             em.line(f"_se{j} = {self._emptiness_expr(e.child, f'_sc{j}')}")
-                    em.line(f"if _sh{j} and _se{j}:")
-                    with em.indent():
-                        self._emit_unlink(e, cvar, kexpr, probe_paid=False)
+                    cond = f"_sh{j} and _se{j}"
             elif e.child.is_unit:
                 uvar = self._gensym("u")
                 self._emit_get(e, uvar, cvar, kexpr)
-                em.line(f"if {self._residual_condition(e.child, uvar, self._vexpr)}:")
-                with em.indent():
-                    self._emit_unlink(e, cvar, kexpr)
-                    em.line("removed = True")
+                cond, paid = self._residual_condition(e.child, uvar, self._vexpr), True
             else:
                 nvar = self._gensym("n")
                 self._emit_get(e, nvar, cvar, kexpr)
                 em.line(f"if {nvar} is not _MISS:")
-                with em.indent():
-                    self._emit_remove_walk(e.child, nvar, shared_emitted)
-                    em.line(f"if {self._emptiness_expr(e.child, nvar)}:")
-                    with em.indent():
-                        self._emit_unlink(e, cvar, kexpr)
+                em.push()
+                opened = 1
+                self._emit_remove_walk(e.child, nvar, shared_emitted)
+                cond, paid = self._emptiness_expr(e.child, nvar), True
+            em.line(f"if {cond}:")
+            with em.indent():
+                self._touch("unlink", cvar, kexpr, edge=e, site="codegen.remove.unlink", paid=paid)
+                if e.child.is_unit:
+                    em.line("removed = True")
+            em.pop(opened)
 
     # -- top-level generation ----------------------------------------------------
 
     def generate(self) -> str:
         em = self.em
-        subsets = self._pattern_subsets()
-        plans = {
-            subset: plan_query(
-                self.decomposition, subset, sizes=self.sizes, spec=self.spec
-            )
-            for subset in subsets
-        }
         self.resid_safe = residual_update_columns(self.decomposition, self.spec)
-        self.batch_subsets = [
-            subset for subset in subsets if self._is_batch_removable(subset, plans[subset])
-        ]
+        self.patterns: List[_Pattern] = []
+        for subset in self._pattern_subsets():
+            plan = plan_query(self.decomposition, subset, sizes=self.sizes, spec=self.spec)
+            self.patterns.append(
+                _Pattern(subset, self._mask(subset), plan, self._is_batch_removable(subset, plan))
+            )
         self.has_range = self._range_path() is not None
         self._emit_module_header()
-        self._emit_class_header(subsets, plans)
+        self._emit_class_header()
         with em.indent():
             self._emit_init()
-            self._emit_coercers()
+            self._emit_full_values()
             self._emit_insert()
             self._emit_insert_row()
             self._emit_remove()
@@ -776,18 +833,16 @@ class _RelationCompiler:
             self._emit_update()
             if self.resid_safe:
                 self._emit_update_in_place()
-            self._emit_query()
             self._emit_query_range()
-            method_names = {}
-            for subset in subsets:
-                method_names[subset] = self._emit_query_method(subset, plans[subset])
-            rm_names = {}
-            for subset in self.batch_subsets:
-                rm_names[subset] = self._emit_batch_remove(subset, plans[subset])
+            for pattern in self.patterns:
+                self._emit_query_method(pattern)
+            for pattern in self.patterns:
+                if pattern.batch:
+                    self._emit_batch_remove(pattern)
             for index in range(len(self.paths)):
                 self._emit_rows_path(index)
-            self._emit_inspection()
-        self._emit_dispatch(subsets, method_names, rm_names)
+            self._emit_check_well_formed()
+        self._emit_dispatch()
         #: Per-class metadata consumed by the static verifier
         #: (``repro.analysis.emitted``): the dispatch masks the compiler
         #: actually planned for, which fault sites it emitted, and the plan
@@ -797,20 +852,20 @@ class _RelationCompiler:
             "class_name": self.class_name,
             "columns": list(self.cols),
             "layout": self.decomposition.describe(),
-            "masks": sorted(self._mask(s) for s in subsets),
-            "batch_masks": sorted(self._mask(s) for s in self.batch_subsets),
+            "masks": [p.mask for p in self.patterns],
+            "batch_masks": [p.mask for p in self.patterns if p.batch],
             "has_range": self.has_range,
             "resid_safe": sorted(self.resid_safe),
             "shared_nodes": len(self.shared_nodes),
             "fault_sites": sorted(em.fault_sites),
             "queries": {
-                self._mask(s): {
-                    "method": method_names[s],
-                    "vmethod": f"_qv_{self._mask(s)}",
-                    "pattern": sorted(s),
-                    "plan": plans[s].describe(),
+                p.mask: {
+                    "method": p.q,
+                    "vmethod": p.qv,
+                    "pattern": sorted(p.cols),
+                    "plan": p.plan.describe(),
                 }
-                for s in subsets
+                for p in self.patterns
             },
         }
         return em.source()
@@ -822,167 +877,43 @@ class _RelationCompiler:
             f"{self.decomposition.name!r}: {self.decomposition.describe()}\n"
             f"Do not edit; regenerate with repro.codegen.generate_source()."
         )
+        em.line()
+        if self.has_range:
+            em.lines(
+                "from bisect import bisect_left as _bl, bisect_right as _br",
+                "",
+                "from repro.codegen.runtime import intern_rows, sync_range_snapshot",
+                "from repro.core.interface import RelationInterface",
+            )
+        fd_literals = ", ".join(
+            f"FunctionalDependency({sorted(fd.lhs)!r}, {sorted(fd.rhs)!r})"
+            for fd in self.spec.fds
+        )
         em.lines(
-            "",
-            *(
-                ["from bisect import bisect_left as _bl, bisect_right as _br"]
-                if self.has_range
-                else []
-            ),
-            "from operator import itemgetter as _itemgetter",
-            "",
+            "from repro.codegen.runtime import _L, _MISS, _l_del_j, _l_get, _l_put_j, _undo",
+            "from repro.codegen.runtime import CompiledRelation, bind_query_boundary",
             "from repro.core.errors import FunctionalDependencyError, WellFormednessError",
             "from repro.core.fd import FunctionalDependency",
-            "from repro.core.interface import RelationInterface",
-            "from repro.core.relation import Relation",
             "from repro.core.spec import RelationSpec",
             "from repro.core.tuples import Tuple",
             "from repro.structures.base import COUNTER as _C",
             "from repro.core.values import value_sort_key as _VSK, values_sort_key as _row_key",
             "from repro.faults import FAULTS as _F",
             "",
-            "_MISS = object()",
-            "_ig0 = _itemgetter(0)",
-            "_ig1 = _itemgetter(1)",
             f"_COLS = ({', '.join(repr(c) for c in self.cols)},)",
             "_COLSET = frozenset(_COLS)",
-            "_COLINDEX = {c: i for i, c in enumerate(_COLS)}",
-            "_COLBIT = {c: 1 << i for i, c in enumerate(_COLS)}",
             "_RS = frozenset(("
             + "".join(f"{c!r}, " for c in sorted(self.resid_safe))
             + "))",
-        )
-        fd_literals = ", ".join(
-            f"FunctionalDependency({sorted(fd.lhs)!r}, {sorted(fd.rhs)!r})"
-            for fd in self.spec.fds
-        )
-        em.line(
             f"_SPEC = RelationSpec({list(self.cols)!r}, fds=[{fd_literals}], "
-            f"name={self.spec.name!r})"
-        )
-        em.lines(
-            "",
-            "",
-            "class _L(list):",
-            "    \"\"\"Entry list of a list-strategy container, with a side index.",
-            "",
-            "    The list of ``[key, value]`` entries is the structure being",
-            "    modelled — instrumented probes walk it and charge one access",
-            "    per visited entry, exactly like the hand-written list",
-            "    container.  ``idx`` maps key -> entry and is maintained by",
-            "    every mutation; it only serves the *uncounted* fast paths",
-            "    taken when the counter is disabled, so it can never change",
-            "    what an instrumented run observes.\"\"\"",
-            "    __slots__ = ('idx',)",
-            "    def __init__(self):",
-            "        list.__init__(self)",
-            "        self.idx = {}",
-            "",
-            "",
-            "# List-layout helpers.  Each has an instrumented walk charging",
-            "# exactly one access per visited entry (hit included, full length",
-            "# on a miss) and an index-backed fast path for when the counter is",
-            "# off; the mutating ones maintain the side index and append one",
-            "# uncounted journal entry per mutation so the emitted rollback",
-            "# blocks can restore the entry exactly.",
-            "def _l_get(c, k):",
-            "    if _C.enabled:",
-            "        n = 0",
-            "        for e in c:",
-            "            n += 1",
-            "            if e[0] == k:",
-            "                _C.accesses += n",
-            "                return e[1]",
-            "        _C.accesses += n",
-            "        return _MISS",
-            "    e = c.idx.get(k)",
-            "    return _MISS if e is None else e[1]",
-            "",
-            "",
-            "def _l_put_j(c, k, v, j):",
-            "    if _C.enabled:",
-            "        n = 0",
-            "        for e in c:",
-            "            n += 1",
-            "            if e[0] == k:",
-            "                _C.accesses += n",
-            "                j.append((7, e, e[1]))",
-            "                e[1] = v",
-            "                return",
-            "        _C.accesses += n",
-            "    else:",
-            "        e = c.idx.get(k)",
-            "        if e is not None:",
-            "            j.append((7, e, e[1]))",
-            "            e[1] = v",
-            "            return",
-            "    e = [k, v]",
-            "    c.append(e)",
-            "    c.idx[k] = e",
-            "    j.append((4, c))",
-            "",
-            "",
-            "def _l_del_j(c, k, j):",
-            "    if _C.enabled:",
-            "        n = 0",
-            "        for i, e in enumerate(c):",
-            "            n += 1",
-            "            if e[0] == k:",
-            "                _C.accesses += n",
-            "                del c.idx[k]",
-            "                c[i] = c[-1]",
-            "                c.pop()",
-            "                j.append((3, c, e))",
-            "                return True",
-            "        _C.accesses += n",
-            "        return False",
-            "    e = c.idx.pop(k, None)",
-            "    if e is None:",
-            "        return False",
-            "    c[c.index(e)] = c[-1]",
-            "    c.pop()",
-            "    j.append((3, c, e))",
-            "    return True",
-            "",
-            "",
-            "def _undo(j):",
-            "    \"\"\"Replay a mutator's undo journal newest-first.",
-            "",
-            "    Entries are (kind, ...) tuples appended by the emitted",
-            "    rollback-aware mutators; replaying them in reverse restores",
-            "    the pre-operation state exactly.  Never charges the counter:",
-            "    it only runs on the exception path.\"\"\"",
-            "    for x in reversed(j):",
-            "        k = x[0]",
-            "        if k == 0:  # dict entry: restore old value (_MISS = absent)",
-            "            if x[3] is _MISS:",
-            "                x[1].pop(x[2], None)",
-            "            else:",
-            "                x[1][x[2]] = x[3]",
-            "        elif k == 1:  # fresh dict entry: delete",
-            "            x[1].pop(x[2], None)",
-            "        elif k == 2:  # shared unit cell: restore residual",
-            "            x[1][0] = x[2]",
-            "        elif k == 3:  # deleted list entry: relink",
-            "            x[1].append(x[2])",
-            "            x[1].idx[x[2][0]] = x[2]",
-            "        elif k == 4:  # appended list entry: unlink",
-            "            e = x[1].pop()",
-            "            x[1].idx.pop(e[0], None)",
-            "        elif k == 5:  # unit root: restore",
-            "            x[1]._root = x[2]",
-            "        elif k == 6:  # row count: restore delta",
-            "            x[1]._count += x[2]",
-            "        elif k == 7:  # list entry value: restore",
-            "            x[1][1] = x[2]",
-            "    del j[:]",
+            f"name={self.spec.name!r})",
             "",
             "",
         )
 
-    def _emit_class_header(self, subsets: Sequence[FrozenSet[str]], plans: Dict) -> None:
+    def _emit_class_header(self) -> None:
         em = self.em
-        em.line(f"class {self.class_name}(RelationInterface):")
+        em.line(f"class {self.class_name}(CompiledRelation):")
         lines = [
             f"Compiled representation of {self.spec.name!r} stored as "
             f"{self.decomposition.describe()}.",
@@ -991,9 +922,9 @@ class _RelationCompiler:
             + "(" + ", ".join(self.cols) + ").",
             "Pattern dispatch (built at compile time):",
         ]
-        for subset in subsets:
-            pattern = "{" + ", ".join(sorted(subset)) + "}"
-            lines.append(f"  {pattern or '{}'}: {plans[subset].describe()}")
+        for pattern in self.patterns:
+            cols = "{" + ", ".join(sorted(pattern.cols)) + "}"
+            lines.append(f"  {cols}: {pattern.plan.describe()}")
         with em.indent():
             em.docstring("\n".join(lines))
             em.line()
@@ -1002,7 +933,7 @@ class _RelationCompiler:
         em = self.em
         root = self.decomposition.root
         literal = "_MISS" if root.is_unit else self._node_literal(root)
-        with em.block(f"def __init__(self, enforce_fds={self.enforce_fds_default!r}):"):
+        with self._method(f"__init__(self, enforce_fds={self.enforce_fds_default!r})"):
             em.line("self.spec = _SPEC")
             em.line("self.enforce_fds = enforce_fds")
             em.line(f"self._root = {literal}")
@@ -1020,11 +951,10 @@ class _RelationCompiler:
             for j, node in enumerate(self.shared_nodes):
                 bound = ", ".join(self.shared_bound_cols[id(node)])
                 em.line(f"self._s{j} = {{}}  # shared node registry ({{{bound}}} binding -> cell)")
-        em.line()
 
-    def _emit_coercers(self) -> None:
+    def _emit_full_values(self) -> None:
         em = self.em
-        with em.block("def _full_values(self, tup):"):
+        with self._method("_full_values(self, tup)"):
             em.line("if type(tup) is Tuple:")
             with em.indent():
                 # Tuple items are stored sorted by column, matching _COLS:
@@ -1053,22 +983,6 @@ class _RelationCompiler:
             with em.indent():
                 em.line("_SPEC.check_full_tuple(Tuple(d))")
             em.line("return " + self._tuple_literal([f"d[{c!r}]" for c in self.cols]))
-        em.line()
-        with em.block("def _pattern_dict(self, pattern, role):"):
-            em.line("if pattern is None:")
-            with em.indent():
-                em.line("return {}")
-            em.line("if type(pattern) is Tuple:")
-            with em.indent():
-                em.line("d = dict(pattern._items)")
-            em.line("else:")
-            with em.indent():
-                em.line("d = Tuple(pattern).as_dict()")
-            em.line("if not _COLSET.issuperset(d):")
-            with em.indent():
-                em.line("_SPEC.check_partial_tuple(Tuple(d), role=role)")
-            em.line("return d")
-        em.line()
 
     def _fd_query_call(self, lhs: FrozenSet[str], val: Callable[[str], str]) -> str:
         mask = self._mask(lhs)
@@ -1077,81 +991,59 @@ class _RelationCompiler:
 
     def _emit_insert(self) -> None:
         em = self.em
-        with em.block("def insert(self, tup):"):
+        with self._method("insert(self, tup)"):
             em.line("row = self._full_values(tup)")
-            fds = list(self.spec.fds)
-            if fds:
+            if self.spec.fds:
                 em.line("if self.enforce_fds:")
                 with em.indent():
                     em.line(f"{self._row_unpack()} = row")
-                    for fd in fds:
-                        rhs = sorted(fd.rhs)
-                        em.line(f"for _m in {self._fd_query_call(fd.lhs, self._vexpr)}:")
-                        with em.indent():
-                            check = " or ".join(
-                                f"_m[{self.col_index[c]}] != {self._vexpr(c)}" for c in rhs
-                            )
-                            em.line(f"if {check}:")
-                            with em.indent():
-                                em.line(
-                                    "raise FunctionalDependencyError("
-                                    '"inserting %r would violate %s" % (tup, '
-                                    f"{_fd_text(fd)!r}))"
-                                )
+                    self._emit_fd_conflicts(
+                        lambda fd: em.line(
+                            "raise FunctionalDependencyError("
+                            f'"inserting %r would violate %s" % (tup, {repr(fd)!r}))'
+                        )
+                    )
             em.line("self._insert_row(row)")
-        em.line()
 
     def _emit_insert_row(self) -> None:
         em = self.em
-        self._reset_symbols()
-        with em.block("def _insert_row(self, row, _j=None):"):
-            em.docstring(
-                "Insert a full row; returns whether it was new.  When FDs "
-                "are not enforced, rows FD-conflicting with the new row are "
-                "first removed from every branch (last-writer-wins, per the "
-                "RelationInterface contract).  Strongly exception safe: "
-                "every link, registry entry and eviction is journalled into "
-                "_j and undone in reverse if any step fails; pass a caller's "
-                "journal to enlist in an enclosing operation's rollback."
-            )
+        with self._method(
+            "_insert_row(self, row, _j=None)",
+            "Insert a full row; returns whether it was new.  When FDs "
+            "are not enforced, rows FD-conflicting with the new row are "
+            "first removed from every branch (last-writer-wins, per the "
+            "RelationInterface contract).  Strongly exception safe: "
+            "every link, registry entry and eviction is journalled into "
+            "_j and undone in reverse if any step fails; pass a caller's "
+            "journal to enlist in an enclosing operation's rollback.",
+            fresh=True,
+        ):
             em.line("en = _C.enabled")
             em.line("_fa = _F.active")
             em.line(f"{self._row_unpack()} = row")
-            self._emit_presence_check(["return False"])
+            self._emit_presence_check()
             if self.has_range:
                 # Stamp before mutating: a rollback leaves the stamp moved,
                 # which only over-invalidates the range cache (never serves
                 # stale keys).
                 em.line("self._mut += 1")
-            em.line("_own = _j is None")
-            em.line("if _own:")
-            with em.indent():
-                em.line("_j = []")
-            em.line("try:")
-            with em.indent():
-                if list(self.spec.fds):
+            with self._rollback(enlist=True):
+                if self.spec.fds:
                     em.line("if not self.enforce_fds:")
                     with em.indent():
                         self._emit_fd_eviction()
                 self._emit_store_walk(self.decomposition.root, "self._root", set())
-            em.line("except BaseException:")
-            with em.indent():
-                em.line("if _own:")
-                with em.indent():
-                    em.line("_undo(_j)")
-                em.line("raise")
             em.line("self._count += 1")
             em.line("if not _own:")
             with em.indent():
-                em.line("_j.append((6, self, -1))")
+                em.line(f"_j.append(({J_COUNT}, self, -1))")
             em.line("return True")
-        em.line()
 
     def _emit_remove(self) -> None:
         em = self.em
-        with em.block("def remove(self, pattern=None):"):
+        with self._method("remove(self, pattern=None)"):
             em.line("p = self._pattern_dict(pattern, 'removal pattern')")
-            if self.batch_subsets:
+            if any(p.batch for p in self.patterns):
                 em.line("h = _RM.get(frozenset(p))")
                 em.line("if h is not None:")
                 with em.indent():
@@ -1159,17 +1051,10 @@ class _RelationCompiler:
                     em.line("return")
             # One journal across the victims: a failure mid-removal relinks
             # the rows already removed, so the operation is all-or-nothing.
-            em.line("_j = []")
-            em.line("try:")
-            with em.indent():
+            with self._rollback():
                 em.line("for r in list(self._query_rows(p)):")
                 with em.indent():
                     em.line("self._remove_row(r, _j)")
-            em.line("except BaseException:")
-            with em.indent():
-                em.line("_undo(_j)")
-                em.line("raise")
-        em.line()
 
     def _is_batch_removable(self, subset: FrozenSet[str], plan) -> bool:
         """A pattern takes the fused remove path when its plan is a pure
@@ -1183,109 +1068,83 @@ class _RelationCompiler:
         covered = frozenset(subset) | frozenset(plan.path.leaf.unit_columns)
         return covered >= frozenset(self.cols)
 
-    def _emit_batch_remove(self, subset: FrozenSet[str], plan) -> str:
+    def _emit_batch_remove(self, pattern: _Pattern) -> None:
         """The fused single-victim removal: walk the lookup chain once
         (identical probes to the query generator) and remove in place —
         no victim list, no generator frames, bit-identical access counts."""
         em = self.em
-        mask = self._mask(subset)
-        name = f"_rm_{mask}"
-        self._reset_symbols()
-        with em.block(f"def {name}(self, p):"):
-            pattern = "{" + ", ".join(sorted(subset)) + "}"
-            em.docstring(
-                f"Fused remove for pattern {pattern or '{}'}: the lookup "
-                f"chain pins at most one victim, removed without "
-                f"materialising it through the query path first."
-            )
+        cols = "{" + ", ".join(sorted(pattern.cols)) + "}"
+        with self._method(
+            f"{pattern.rm}(self, p)",
+            f"Fused remove for pattern {cols}: the lookup chain pins at most "
+            "one victim, removed without materialising it through the query "
+            "path first.",
+            fresh=True,
+        ):
             em.line("en = _C.enabled")
             em.line("_fa = _F.active")
-            pvars = {}
-            for col in sorted(subset):
-                var = f"p{self.col_index[col]}"
+            pvars = self._pattern_vars(pattern.cols)
+            for col, var in pvars.items():
                 em.line(f"{var} = p[{col!r}]")
-                pvars[col] = var
             exprs, opened_loops = self._emit_chain(
-                plan.path, plan.steps, pvars, in_loop=False
+                pattern.plan.path, pattern.plan.steps, pvars, in_loop=False
             )
             assert not opened_loops
-            em.fault_check("codegen.remove.batch", guard="_fa")
-            em.line("_j = []")
-            em.line("try:")
-            with em.indent():
+            em.fault_check("codegen.remove.batch")
+            with self._rollback():
                 row = self._tuple_literal([exprs[c] for c in self.cols])
                 em.line(f"self._remove_row({row}, _j)")
-            em.line("except BaseException:")
-            with em.indent():
-                em.line("_undo(_j)")
-                em.line("raise")
-        em.line()
-        return name
 
     def _emit_remove_row(self) -> None:
         em = self.em
-        self._reset_symbols()
-        with em.block("def _remove_row(self, row, _j=None):"):
-            em.docstring(
-                "Remove a full row from every branch, pruning empty "
-                "sub-instances.  Shared nodes are resolved once against "
-                "their registry; every parent then unlinks the same object "
-                "(O(1) per intrusive branch).  Strongly exception safe via "
-                "the same journal discipline as _insert_row."
-            )
+        with self._method(
+            "_remove_row(self, row, _j=None)",
+            "Remove a full row from every branch, pruning empty "
+            "sub-instances.  Shared nodes are resolved once against "
+            "their registry; every parent then unlinks the same object "
+            "(O(1) per intrusive branch).  Strongly exception safe via "
+            "the same journal discipline as _insert_row.",
+            fresh=True,
+        ):
             em.line("en = _C.enabled")
             em.line("_fa = _F.active")
             em.line(f"{self._row_unpack()} = row")
             em.line("removed = False")
             if self.has_range:
                 em.line("self._mut += 1")
-            em.line("_own = _j is None")
-            em.line("if _own:")
-            with em.indent():
-                em.line("_j = []")
             for j, node in enumerate(self.shared_nodes):
                 em.line(f"_b{j} = {self._bk_expr(node, self._vexpr)}")
                 em.line(f"_sc{j} = self._s{j}.get(_b{j})")
-                if node.is_unit:
-                    if node.unit_columns:
-                        em.line(
-                            f"_sh{j} = _sc{j} is not None and _sc{j}[0] == "
-                            f"{self._residual_expr(node, self._vexpr)}"
-                        )
-                    else:
-                        em.line(f"_sh{j} = _sc{j} is not None")
+                if node.is_unit and node.unit_columns:
+                    em.line(
+                        f"_sh{j} = _sc{j} is not None and _sc{j}[0] == "
+                        f"{self._residual_expr(node, self._vexpr)}"
+                    )
                 else:
                     em.line(f"_sh{j} = _sc{j} is not None")
+                if not node.is_unit:
                     em.line(f"_se{j} = False")
-            em.line("try:")
-            with em.indent():
+            with self._rollback(enlist=True):
                 self._emit_remove_walk(self.decomposition.root, "self._root", set())
                 for j, node in enumerate(self.shared_nodes):
                     guard = f"_sh{j}" if node.is_unit else f"_sh{j} and _se{j}"
                     em.line(f"if {guard}:")
                     with em.indent():
-                        em.fault_check("codegen.remove.registry_pop", guard="_fa")
-                        em.line(f"_j.append((0, self._s{j}, _b{j}, _sc{j}))")
-                        em.line(f"self._s{j}.pop(_b{j}, None)")
-            em.line("except BaseException:")
-            with em.indent():
-                em.line("if _own:")
-                with em.indent():
-                    em.line("_undo(_j)")
-                em.line("raise")
+                        self._touch(
+                            "pop", f"self._s{j}", f"_b{j}", f"_sc{j}",
+                            site="codegen.remove.registry_pop",
+                        )
             em.line("if removed:")
             with em.indent():
                 em.line("self._count -= 1")
                 em.line("if not _own:")
                 with em.indent():
-                    em.line("_j.append((6, self, 1))")
+                    em.line(f"_j.append(({J_COUNT}, self, 1))")
             em.line("return removed")
-        em.line()
 
     def _emit_update(self) -> None:
         em = self.em
-        cols = self.cols
-        with em.block("def update(self, pattern, changes):"):
+        with self._method("update(self, pattern, changes)"):
             em.line("p = self._pattern_dict(pattern, 'update pattern')")
             em.line("ch = self._pattern_dict(changes, 'update changes')")
             em.line("if not ch:")
@@ -1301,15 +1160,14 @@ class _RelationCompiler:
             with em.indent():
                 em.line("return")
             merged = self._tuple_literal(
-                [f"ch.get({c!r}, r[{i}])" for i, c in enumerate(cols)]
+                [f"ch.get({c!r}, r[{i}])" for i, c in enumerate(self.cols)]
             )
             em.line(f"merged = [{merged} for r in victims]")
-            fds = list(self.spec.fds)
-            if fds:
+            if self.spec.fds:
                 em.line("if self.enforce_fds:")
                 with em.indent():
                     em.line("vic = set(victims)")
-                    for fd in fds:
+                    for fd in self.spec.fds:
                         self._emit_update_fd_check(fd)
             em.line("if not self.enforce_fds:")
             with em.indent():
@@ -1319,21 +1177,14 @@ class _RelationCompiler:
             # One journal across the whole remove-then-reinsert sequence: a
             # failure anywhere restores every victim and unwinds every
             # reinserted row — the update happens entirely or not at all.
-            em.line("_j = []")
-            em.line("try:")
-            with em.indent():
+            with self._rollback():
                 em.line("for r in victims:")
                 with em.indent():
                     em.line("self._remove_row(r, _j)")
                 em.line("for m in merged:")
                 with em.indent():
-                    em.fault_check("codegen.update.reinsert", guard="_fa")
+                    em.fault_check("codegen.update.reinsert")
                     em.line("self._insert_row(m, _j)")
-            em.line("except BaseException:")
-            with em.indent():
-                em.line("_undo(_j)")
-                em.line("raise")
-        em.line()
 
     def _emit_update_fd_check(self, fd) -> None:
         """The reachable-group FD check: merged rows must agree within each
@@ -1345,11 +1196,7 @@ class _RelationCompiler:
         gvar = self._gensym("g")
 
         def row_proj(var: str, columns: List[str]) -> str:
-            if not columns:
-                return "None"
-            if len(columns) == 1:
-                return f"{var}[{self.col_index[columns[0]]}]"
-            return "(" + ", ".join(f"{var}[{self.col_index[c]}]" for c in columns) + ")"
+            return self._values_expr(columns, lambda c: f"{var}[{self.col_index[c]}]", "None")
 
         em.line(f"{gvar} = {{}}")
         em.line("for m in merged:")
@@ -1365,7 +1212,7 @@ class _RelationCompiler:
                 em.line(
                     "raise FunctionalDependencyError("
                     '"update with pattern %r would merge tuples into conflicting '
-                    f'values for %s" % (pattern, {_fd_text(fd)!r}))'
+                    f'values for %s" % (pattern, {repr(fd)!r}))'
                 )
         em.line(f"for lk, rv in {gvar}.items():")
         with em.indent():
@@ -1383,7 +1230,7 @@ class _RelationCompiler:
                     em.line(
                         "raise FunctionalDependencyError("
                         '"update with pattern %r and changes %r would violate '
-                        f'%s" % (pattern, changes, {_fd_text(fd)!r}))'
+                        f'%s" % (pattern, changes, {repr(fd)!r}))'
                     )
 
     def _emit_update_in_place(self) -> None:
@@ -1391,26 +1238,22 @@ class _RelationCompiler:
         # One walk per distinct leaf holding an updatable column; a shared
         # leaf is rewritten once through its registry cell (every parent
         # container already points at the same object).
-        resid_paths: List[Path] = []
-        seen_leaves: set = set()
+        first_path: Dict[int, Path] = {}
         for path in self.paths:
-            if not (frozenset(path.leaf.unit_columns) & self.resid_safe):
-                continue
-            if id(path.leaf) in seen_leaves:
-                continue
-            seen_leaves.add(id(path.leaf))
-            resid_paths.append(path)
-        self._reset_symbols()
-        with em.block("def _update_in_place(self, p, ch):"):
-            em.docstring(
-                "In-place update of residual-only columns.  Every changed "
-                "column lives outside all container keys and is FD-inert "
-                "(_RS membership), so victims keep their position in every "
-                "container and each relevant leaf residual is rewritten "
-                "where it lives — no remove, no re-insert, no FD re-check. "
-                "Journalled like the other mutators for strong exception "
-                "safety."
-            )
+            if frozenset(path.leaf.unit_columns) & self.resid_safe:
+                first_path.setdefault(id(path.leaf), path)
+        resid_paths = list(first_path.values())
+        with self._method(
+            "_update_in_place(self, p, ch)",
+            "In-place update of residual-only columns.  Every changed "
+            "column lives outside all container keys and is FD-inert "
+            "(_RS membership), so victims keep their position in every "
+            "container and each relevant leaf residual is rewritten "
+            "where it lives — no remove, no re-insert, no FD re-check. "
+            "Journalled like the other mutators for strong exception "
+            "safety.",
+            fresh=True,
+        ):
             em.line("en = _C.enabled")
             em.line("_fa = _F.active")
             em.line("victims = list(self._query_rows(p))")
@@ -1421,25 +1264,18 @@ class _RelationCompiler:
                 touched = sorted(frozenset(path.leaf.unit_columns) & self.resid_safe)
                 cond = " or ".join(f"{c!r} in ch" for c in touched)
                 em.line(f"t{k} = {cond}")
-            em.line("_j = []")
-            em.line("try:")
-            with em.indent():
+            with self._rollback():
                 em.line("for r in victims:")
                 with em.indent():
                     em.line(f"{self._row_unpack()} = r")
                     for c in sorted(self.resid_safe):
                         i = self.col_index[c]
                         em.line(f"w{i} = ch.get({c!r}, v{i})")
-                    em.fault_check("codegen.update.in_place", guard="_fa")
+                    em.fault_check("codegen.update.in_place")
                     for k, path in enumerate(resid_paths):
                         em.line(f"if t{k}:")
                         with em.indent():
                             self._emit_resid_write(path)
-            em.line("except BaseException:")
-            with em.indent():
-                em.line("_undo(_j)")
-                em.line("raise")
-        em.line()
 
     def _emit_resid_write(self, path: Path) -> None:
         """Emit the walk rewriting one leaf's residual in place for the
@@ -1463,12 +1299,10 @@ class _RelationCompiler:
             em.line(f"{cvar} = self._s{j}.get({self._bk_expr(leaf, self._vexpr)})")
             em.line(f"if {cvar} is not None:")
             with em.indent():
-                em.line(f"_j.append((2, {cvar}, {cvar}[0]))")
-                em.line(f"{cvar}[0] = {residual}")
+                self._touch("cell", cvar, v=residual)
             return
         if not path.edges:  # unit root: the instance is the residual.
-            em.line("_j.append((5, self, self._root))")
-            em.line(f"self._root = {residual}")
+            self._touch("root", v=residual)
             return
         deepest = -1
         for d in range(len(path.edges) - 1):
@@ -1497,12 +1331,7 @@ class _RelationCompiler:
             em.line(f"{cvar} = {self._container_expr(node, current, idx)}")
             kexpr = self._key_expr(e, self._vexpr)
             if d == len(path.edges) - 1:
-                if _strategy(e) == "list":
-                    em.line(f"_l_put_j({cvar}, {kexpr}, {residual}, _j)")
-                else:
-                    self._emit_access_count(e, cvar)
-                    em.line(f"_j.append((0, {cvar}, {kexpr}, {cvar}.get({kexpr}, _MISS)))")
-                    em.line(f"{cvar}[{kexpr}] = {residual}")
+                self._touch("store", cvar, kexpr, residual, e)
             else:
                 nvar = self._gensym("n")
                 self._emit_get(e, nvar, cvar, kexpr)
@@ -1512,146 +1341,6 @@ class _RelationCompiler:
                 node = e.child
                 current = nvar
         em.pop(opened)
-
-    def _emit_query(self) -> None:
-        em = self.em
-        with em.block("def query(self, pattern=None, output=None):"):
-            # Fast path for Tuple patterns (the common caller): the sorted
-            # _items pairs give the dispatch mask and the positional
-            # arguments directly — no dict build, no frozenset, no
-            # per-column loads inside the generator.
-            em.line("if type(pattern) is Tuple:")
-            with em.indent():
-                em.line("items = pattern._items")
-                # One dict probe on the sorted column tuple replaces the
-                # per-column mask loop after the first sighting of each
-                # pattern shape; 0 marks shapes served by the fallback.
-                em.line("h = _VCOLS.get(tuple(map(_ig0, items)))")
-                em.line("if h is None:")
-                with em.indent():
-                    em.line("m = 0")
-                    em.line("for c, _ in items:")
-                    with em.indent():
-                        em.line("b = _COLBIT.get(c)")
-                        em.line("if b is None:")
-                        with em.indent():
-                            em.line(
-                                "_SPEC.check_partial_tuple(pattern, role='query pattern')"
-                            )
-                        em.line("m |= b")
-                    em.line("h = _VPLANS.get(m, 0)")
-                    em.line("_VCOLS[tuple(map(_ig0, items))] = h")
-                em.line("if h:")
-                with em.indent():
-                    em.line("rows = h(self, *map(_ig1, items))")
-                em.line("else:")
-                with em.indent():
-                    em.line("rows = self._q_fallback(dict(items))")
-            em.line("else:")
-            with em.indent():
-                em.line("p = self._pattern_dict(pattern, 'query pattern')")
-                em.line("rows = self._query_rows(p)")
-            em.line("if output is None:")
-            with em.indent():
-                # Interned full-row boundary: one dict probe per row in the
-                # steady state instead of a Tuple construction.  The memo is
-                # a pure value->Tuple map, so entries for rows no longer
-                # stored are merely unused, never wrong.  map() keeps the
-                # all-hits path entirely in C; the Python loop only runs to
-                # fill cache misses.
-                em.line("if type(rows) is not list:")
-                with em.indent():
-                    em.line("rows = list(rows)")
-                em.line("tc = self._t_cache")
-                em.line("res = list(map(tc.get, rows))")
-                em.line("if None in res:")
-                with em.indent():
-                    em.line("if len(tc) > 131072:")
-                    with em.indent():
-                        em.line("tc.clear()")
-                    em.line("mk = Tuple.from_sorted_items")
-                    em.line("for i, t in enumerate(res):")
-                    with em.indent():
-                        em.line("if t is None:")
-                        with em.indent():
-                            em.line("r = rows[i]")
-                            em.line("t = mk(zip(_COLS, r))")
-                            em.line("tc[r] = t")
-                            em.line("res[i] = t")
-                em.line("return res")
-            # The projection cache is keyed by the raw ``output`` value (when
-            # hashable) so repeat queries skip column validation entirely;
-            # only values that already passed validation are ever cached.
-            em.line("try:")
-            with em.indent():
-                em.line("cached = self._proj_cache.get(output)")
-            em.line("except TypeError:")
-            with em.indent():
-                em.line("cached = None")
-            em.line("if cached is None:")
-            with em.indent():
-                em.line("wanted = _SPEC.check_output_columns(output)")
-                em.line("cached = self._proj_cache.get(wanted)")
-                em.line("if cached is None:")
-                with em.indent():
-                    em.line("out_cols = tuple(sorted(wanted))")
-                    em.line("idxs = tuple(_COLINDEX[c] for c in out_cols)")
-                    em.line("getter = _itemgetter(*idxs) if len(idxs) > 1 else None")
-                    em.line("cached = (out_cols, idxs, getter, {})")
-                    em.line("self._proj_cache[wanted] = cached")
-                em.line("try:")
-                with em.indent():
-                    em.line("self._proj_cache[output] = cached")
-                em.line("except TypeError:")
-                with em.indent():
-                    em.line("pass")
-            em.line("out_cols, idxs, getter, interned = cached")
-            em.line("if getter is not None:")
-            with em.indent():
-                em.line("seen = set(map(getter, rows))")
-            em.line("else:")
-            with em.indent():
-                em.line("i0 = idxs[0]")
-                em.line("seen = {(r[i0],) for r in rows}")
-            em.line("mk = Tuple.from_sorted_items")
-            em.line("res = []")
-            em.line("ap = res.append")
-            em.line("for vals in seen:")
-            with em.indent():
-                em.line("t = interned.get(vals)")
-                em.line("if t is None:")
-                with em.indent():
-                    em.line("t = mk(zip(out_cols, vals))")
-                    em.line("interned[vals] = t")
-                em.line("ap(t)")
-            em.line("return res")
-        em.line()
-        with em.block("def _query_rows(self, p):"):
-            em.line("if not p:")
-            with em.indent():
-                em.line("return self._qv_0()")
-            em.line("handler = _PLANS.get(frozenset(p))")
-            em.line("if handler is None:")
-            with em.indent():
-                em.line("return self._q_fallback(p)")
-            em.line("return handler(self, p)")
-        em.line()
-        with em.block("def _q_fallback(self, p):"):
-            em.docstring("Scan-and-filter fallback for patterns with no specialised method.")
-            em.line("crit = [(_COLINDEX[c], v) for c, v in p.items()]")
-            em.line("for r in self._q_0({}):")
-            with em.indent():
-                em.line("ok = True")
-                em.line("for i, v in crit:")
-                with em.indent():
-                    em.line("if r[i] != v:")
-                    with em.indent():
-                        em.line("ok = False")
-                        em.line("break")
-                em.line("if ok:")
-                with em.indent():
-                    em.line("yield r")
-        em.line()
 
     def _range_path(self) -> "Optional[tuple]":
         """The ``(path, root edge)`` serving ordered range scans, if any.
@@ -1683,20 +1372,20 @@ class _RelationCompiler:
         col = next(iter(e0.key))
         root = self.decomposition.root
         cexpr = self._container_expr(root, "self._root", path.edge_indices[0])
-        self._reset_symbols()
-        with em.block("def _range_rows(self, lo, hi):"):
-            em.docstring(
-                f"Rows with {col!r} in [lo, hi], ascending (group ties by "
-                "row sort key).  Charged as the modelled tree's bounded "
-                "descent — the boundary probes plus one in-order successor "
-                "hop per in-range entry — like every tree-strategy probe "
-                "is charged the modelled log2(n), not the dict's O(1).  "
-                "Served from a sorted key snapshot rebuilt lazily when the "
-                "mutation stamp moved (bisected bounds, physical O(log n + "
-                "k) between mutations); the charges are identical either "
-                "way — the cache is a constant-factor device, not a "
-                "counted-cost one."
-            )
+        with self._method(
+            "_range_rows(self, lo, hi)",
+            f"Rows with {col!r} in [lo, hi], ascending (group ties by "
+            "row sort key).  Charged as the modelled tree's bounded "
+            "descent — the boundary probes plus one in-order successor "
+            "hop per in-range entry — like every tree-strategy probe "
+            "is charged the modelled log2(n), not the dict's O(1).  "
+            "Served from a sorted key snapshot rebuilt lazily when the "
+            "mutation stamp moved (bisected bounds, physical O(log n + "
+            "k) between mutations); the charges are identical either "
+            "way — the cache is a constant-factor device, not a "
+            "counted-cost one.",
+            fresh=True,
+        ):
             em.line("en = _C.enabled")
             em.line(f"c0 = {cexpr}")
             em.line("if en:")
@@ -1705,38 +1394,7 @@ class _RelationCompiler:
                 em.line("_C.accesses += max(1, len(c0).bit_length())")
             em.line("if self._rord_mut != self._mut:")
             with em.indent():
-                # Repair the snapshot from the key-set diff when few keys
-                # moved (the common churn shape: remove + re-insert of the
-                # same keys leaves the diff empty); rebuild wholesale only
-                # when the diff is a sizeable fraction of the container.
-                em.line("_ck = set(c0)")
-                em.line("_old = self._rset")
-                em.line("if _old is None or len(_ck ^ _old) * 8 > len(_ck):")
-                with em.indent():
-                    em.line("_o = [(_VSK(_k), _k) for _k in _ck]")
-                    em.line("_o.sort(key=_itemgetter(0))")
-                    em.line("self._rord = _o")
-                    em.line("self._rkeys = [_p[0] for _p in _o]")
-                em.line("else:")
-                with em.indent():
-                    em.line("_o = self._rord")
-                    em.line("_ks = self._rkeys")
-                    em.line("for _k in _old - _ck:")
-                    with em.indent():
-                        em.line("_ix = _bl(_ks, _VSK(_k))")
-                        em.line("while _o[_ix][1] != _k:")
-                        with em.indent():
-                            em.line("_ix += 1")
-                        em.line("del _o[_ix]")
-                        em.line("del _ks[_ix]")
-                    em.line("for _k in _ck - _old:")
-                    with em.indent():
-                        em.line("_kk = _VSK(_k)")
-                        em.line("_ix = _bl(_ks, _kk)")
-                        em.line("_o.insert(_ix, (_kk, _k))")
-                        em.line("_ks.insert(_ix, _kk)")
-                em.line("self._rset = _ck")
-                em.line("self._rord_mut = self._mut")
+                em.line("sync_range_snapshot(self, c0)")
             em.line("_o = self._rord")
             em.line("_i = _bl(self._rkeys, _VSK(lo)) if lo is not None else 0")
             em.line("_z = _br(self._rkeys, _VSK(hi)) if hi is not None else len(_o)")
@@ -1746,69 +1404,43 @@ class _RelationCompiler:
             em.line("if en: _C.accesses += _z - _i")
             em.line("out = []")
             em.line("for _x in range(_i, _z):")
-            em.push()
-            em.line("k0 = _o[_x][1]")
-            em.line("n0 = c0[k0]")
-            em.line("grp = []")
-            em.line("ap = grp.append")
-            steps = [
-                ScanStep(e, i)
-                for e, i in zip(path.edges[1:], path.edge_indices[1:])
-            ]
-            exprs, opened = self._emit_chain(
-                path, steps, {col: "k0"}, in_loop=True, start=(e0.child, "n0")
-            )
-            em.line("ap(" + self._tuple_literal([exprs[c] for c in self.cols]) + ")")
-            em.pop(opened)
-            em.line("if len(grp) > 1:")
-            em.push()
-            em.line("grp.sort(key=_row_key)")
-            em.pop(1)
-            em.line("out.extend(grp)")
-            em.pop(1)
+            with em.indent():
+                em.line("k0 = _o[_x][1]")
+                em.line("n0 = c0[k0]")
+                em.line("grp = []")
+                em.line("ap = grp.append")
+                steps = [
+                    ScanStep(e, i)
+                    for e, i in zip(path.edges[1:], path.edge_indices[1:])
+                ]
+                exprs, opened = self._emit_chain(
+                    path, steps, {col: "k0"}, in_loop=True, start=(e0.child, "n0")
+                )
+                self._emit_row(exprs)
+                em.pop(opened)
+                em.line("if len(grp) > 1:")
+                with em.indent():
+                    em.line("grp.sort(key=_row_key)")
+                em.line("out.extend(grp)")
             em.line("return out")
-        em.line()
-        with em.block("def query_range(self, column, lo=None, hi=None):"):
-            em.docstring(
-                f"Ordered range scan over {col!r} served by the "
-                f"{e0.structure!r} root index; other columns take the "
-                "interface's filtered-scan fallback."
-            )
+        with self._method(
+            "query_range(self, column, lo=None, hi=None)",
+            f"Ordered range scan over {col!r} served by the "
+            f"{e0.structure!r} root index; other columns take the "
+            "interface's filtered-scan fallback.",
+        ):
             em.line(f"if column != {col!r}:")
             with em.indent():
                 em.line("return RelationInterface.query_range(self, column, lo, hi)")
-            em.line("rows = self._range_rows(lo, hi)")
-            em.line("tc = self._t_cache")
-            em.line("mk = Tuple.from_sorted_items")
-            em.line("res = []")
-            em.line("ap = res.append")
-            em.line("for r in rows:")
-            with em.indent():
-                em.line("t = tc.get(r)")
-                em.line("if t is None:")
-                with em.indent():
-                    em.line("t = mk(zip(_COLS, r))")
-                    em.line("tc[r] = t")
-                em.line("ap(t)")
-            em.line("return res")
-        em.line()
+            em.line("return intern_rows(self._t_cache, _COLS, self._range_rows(lo, hi))")
 
-    def _emit_inspection(self) -> None:
+    def _emit_check_well_formed(self) -> None:
         em = self.em
-        with em.block("def to_relation(self):"):
-            em.line(
-                "return Relation(_COLS, "
-                "[Tuple.from_sorted_items(zip(_COLS, r)) for r in self._rows_path_0()])"
-            )
-        em.line()
-        with em.block("def checkpoint(self):"):
-            em.line("return self.to_relation()")
-        em.line()
-        with em.block("def check_well_formed(self):"):
-            em.docstring(
-                "Branch agreement and count consistency (the compiled "
-                "counterpart of Figure 5's instance well-formedness)."
-            )
+        with self._method(
+            "check_well_formed(self)",
+            "Branch agreement and count consistency (the compiled "
+            "counterpart of Figure 5's instance well-formedness).",
+        ):
             em.line("rows = set(self._rows_path_0())")
             for index in range(1, len(self.paths)):
                 path = self.paths[index]
@@ -1838,15 +1470,6 @@ class _RelationCompiler:
                     "% (len(rows), self._count))"
                 )
             self._emit_sharing_checks()
-        em.line()
-        with em.block("def __len__(self):"):
-            em.line("return self._count")
-        em.line()
-        with em.block("def __repr__(self):"):
-            em.line(
-                'return "%s(size=%d)" % (type(self).__name__, self._count)'
-            )
-        em.line()
 
     def _routes_to(self, target: DecompNode) -> List[List[tuple]]:
         """Every route (list of ``(source node, edge, edge index)`` steps)
@@ -1885,18 +1508,9 @@ class _RelationCompiler:
                     current = "self._root"
                     for source, e, idx in route:
                         cexpr = self._container_expr(source, current, idx)
-                        key_cols = sorted(e.key)
-                        if len(key_cols) == 1:
-                            kexpr = f"_b[{bpos[key_cols[0]]}]"
-                        else:
-                            kexpr = self._tuple_literal(
-                                [f"_b[{bpos[c]}]" for c in key_cols]
-                            )
+                        kexpr = self._key_expr(e, lambda c: f"_b[{bpos[c]}]")
                         wvar = self._gensym("w")
-                        if _strategy(e) == "list":
-                            em.line(f"{wvar} = _l_get({cexpr}, {kexpr})")
-                        else:
-                            em.line(f"{wvar} = {cexpr}.get({kexpr}, _MISS)")
+                        self._emit_get(e, wvar, cexpr, kexpr, charge=False)
                         em.line(f"if {wvar} is _MISS:")
                         with em.indent():
                             em.line(
@@ -1914,50 +1528,53 @@ class _RelationCompiler:
                             f'object for binding %r" % (_b,))'
                         )
 
-    def _emit_dispatch(
-        self,
-        subsets: Sequence[FrozenSet[str]],
-        method_names: Dict[FrozenSet[str], str],
-        rm_names: Dict[FrozenSet[str], str],
-    ) -> None:
+    def _emit_dispatch(self) -> None:
+        """The compile-time dispatch tables, written from :attr:`patterns`,
+        and the query boundary bound over them."""
         em = self.em
+        cls = self.class_name
         em.line()
-        em.line("_PLANS = {")
-        with em.indent():
-            for subset in subsets:
-                if subset:
-                    literal = "frozenset((" + ", ".join(repr(c) for c in sorted(subset)) + ",))"
-                else:
-                    literal = "frozenset()"
-                em.line(f"{literal}: {self.class_name}.{method_names[subset]},")
-        em.line("}")
-        # The pre-bound positional dispatch: an int bitmask (computed from a
-        # pattern's columns in one pass) selects the specialised generator,
-        # resolved once here at class-creation time.
-        em.line("_VPLANS = {")
-        with em.indent():
-            for subset in subsets:
-                em.line(f"{self._mask(subset)}: {self.class_name}._qv_{self._mask(subset)},")
-        em.line("}")
-        # Pattern-shape memo for query(): sorted column tuple -> resolved
-        # generator (0 = fallback shapes), filled on first sighting.
-        em.line("_VCOLS = {}")
-        if rm_names:
-            em.line("_RM = {")
+
+        def table(name: str, entries: Sequence[str]) -> None:
+            em.line(f"{name} = {{")
             with em.indent():
-                for subset in self.batch_subsets:
-                    if subset:
-                        literal = (
-                            "frozenset((" + ", ".join(repr(c) for c in sorted(subset)) + ",))"
-                        )
-                    else:
-                        literal = "frozenset()"
-                    em.line(f"{literal}: {self.class_name}.{rm_names[subset]},")
+                em.lines(*entries)
             em.line("}")
 
+        # _PLANS: frozenset pattern -> dict adapter (_query_rows, update).
+        table("_PLANS", [f"{_frozenset_literal(p.cols)}: {cls}.{p.q}," for p in self.patterns])
+        # The pre-bound positional dispatch: an int bitmask (computed from a
+        # pattern's columns in one pass) selects the specialised method,
+        # resolved once here at class-creation time.
+        table("_VPLANS", [f"{p.mask}: {cls}.{p.qv}," for p in self.patterns])
+        # Pattern-shape memo for query(): sorted column tuple -> resolved
+        # method (0 = fallback shapes), filled on first sighting.
+        em.line("_VCOLS = {}")
+        batch = [p for p in self.patterns if p.batch]
+        if batch:
+            table("_RM", [f"{_frozenset_literal(p.cols)}: {cls}.{p.rm}," for p in batch])
+        em.line(f"bind_query_boundary({cls}, _COLS, _SPEC, _PLANS, _VPLANS, _VCOLS)")
 
-def _fd_text(fd) -> str:
-    return repr(fd)
+
+def _resolve(
+    decomposition: Union[Decomposition, str],
+    class_name: Optional[str],
+    sizes: Optional[Mapping[MapEdge, float]],
+) -> "tuple[Decomposition, str]":
+    """The front door of :func:`generate_source_and_meta` and
+    :func:`compile_relation`: parse a layout string (rejecting *sizes*
+    with one) and default the class name."""
+    if isinstance(decomposition, str):
+        if sizes is not None:
+            raise DecompositionError(
+                "sizes are keyed by MapEdge identity and cannot be combined "
+                "with a layout string (re-parsing would create fresh edge "
+                "objects and every size estimate would silently miss); parse "
+                "the layout first and pass the Decomposition whose edges the "
+                "sizes were computed for"
+            )
+        decomposition = parse_decomposition(decomposition)
+    return decomposition, class_name or _default_class_name(decomposition.name)
 
 
 def generate_source(
@@ -1967,12 +1584,13 @@ def generate_source(
     enforce_fds_default: bool = True,
     sizes: Optional[Mapping[MapEdge, float]] = None,
 ) -> str:
-    """Generate the source of a standalone compiled relation class.
+    """Generate the source of a compiled relation class's module.
 
     The decomposition must be adequate for *spec*
     (:class:`~repro.core.errors.AdequacyError` otherwise).  The returned
-    module source depends only on stable ``repro`` entry points and can be
-    written to a file, imported, diffed, or inspected.
+    module source holds the layout-specific code and imports the rest from
+    :mod:`repro.codegen.runtime` and other stable ``repro`` entry points;
+    it can be written to a file, imported, diffed, or inspected.
     ``enforce_fds_default`` becomes the generated constructor's default FD
     mode — the autotuner compiles winners tuned on FD-off traces with an
     FD-off default, so the class runs its own workload out of the box.
@@ -2004,17 +1622,7 @@ def generate_source_and_meta(
     :mod:`repro.analysis.emitted` cross-checks the emitted source against
     (and what :func:`compile_relation` attaches as ``__repro_meta__``).
     """
-    if isinstance(decomposition, str):
-        if sizes is not None:
-            raise DecompositionError(
-                "sizes are keyed by MapEdge identity and cannot be combined "
-                "with a layout string (re-parsing would create fresh edge "
-                "objects and every size estimate would silently miss); parse "
-                "the layout first and pass the Decomposition whose edges the "
-                "sizes were computed for"
-            )
-        decomposition = parse_decomposition(decomposition)
-    class_name = class_name or _default_class_name(decomposition.name)
+    decomposition, class_name = _resolve(decomposition, class_name, sizes)
     compiler = _RelationCompiler(
         spec, decomposition, class_name, enforce_fds_default, sizes
     )
@@ -2023,8 +1631,8 @@ def generate_source_and_meta(
 
 
 #: Generated-class cache: ``compile_relation`` is pure in
-#: ``(spec, canonical shape, class name, FD default)``, so repeated
-#: compilations — autotuner replays, benchmark reruns, repeated
+#: ``(spec, canonical shape, class name, FD default, size classes)``, so
+#: repeated compilations — autotuner replays, benchmark reruns, repeated
 #: ``synthesize`` calls — reuse the class instead of re-generating and
 #: re-``exec``-ing the module.  Structure aliases collapse (``btree`` and
 #: ``avl`` layouts share one entry) because the canonical shape does.
@@ -2112,8 +1720,8 @@ def compile_relation(
     is attached as ``cls.__repro_source__``, the compiler's metadata as
     ``cls.__repro_meta__``, the originating objects as ``cls.SPEC`` and
     ``cls.DECOMPOSITION``, and the source is registered with
-    :mod:`linecache` so tracebacks from emitted code show real generated
-    lines.
+    :mod:`linecache` (for as long as the class lives) so tracebacks from
+    emitted code show real generated lines.
 
     Classes are cached by ``(spec, canonical_shape(decomposition),
     class name, FD default, size classes)`` — a repeated compilation
@@ -2126,50 +1734,39 @@ def compile_relation(
     every key-equal call.  As with :func:`generate_source`, *sizes* are
     rejected when the decomposition is given as a string.
     """
-    if isinstance(decomposition, str):
-        if sizes is not None:
-            raise DecompositionError(
-                "sizes are keyed by MapEdge identity and cannot be combined "
-                "with a layout string; parse the layout first and pass the "
-                "Decomposition whose edges the sizes were computed for"
-            )
-        decomposition = parse_decomposition(decomposition)
-    class_name = class_name or _default_class_name(decomposition.name)
+    decomposition, class_name = _resolve(decomposition, class_name, sizes)
     key = _cache_key(spec, decomposition, class_name, enforce_fds_default, sizes)
     with _CACHE_LOCK:
-        cached = _CLASS_CACHE.get(key)
-        if cached is not None:
-            _CACHE_STATS["hits"] += 1
-            cached.SPEC = spec  # type: ignore[attr-defined]
-            cached.DECOMPOSITION = decomposition  # type: ignore[attr-defined]
-            return cached
-        _CACHE_STATS["misses"] += 1
-    # Generate and exec outside the lock: slow, and touches no shared state.
-    source, meta = generate_source_and_meta(
-        spec, decomposition, class_name, enforce_fds_default, sizes
-    )
-    module_name = f"repro.codegen.generated_{next(_generated_modules)}"
-    filename = f"<{module_name}>"
-    meta["module"] = module_name
-    meta["filename"] = filename
-    namespace: Dict[str, object] = {"__name__": module_name}
-    exec(compile(source, filename, "exec"), namespace)
-    cls = namespace[class_name]
-    cls.__repro_source__ = source  # type: ignore[attr-defined]
-    cls.__repro_meta__ = meta  # type: ignore[attr-defined]
-    cls.SPEC = spec  # type: ignore[attr-defined]
-    cls.DECOMPOSITION = decomposition  # type: ignore[attr-defined]
-    # Register the generated module with linecache so tracebacks (and
-    # inspect.getsource) raised inside emitted mutators show the real
-    # generated lines instead of blank ``<repro.codegen.generated_N>``
-    # frames.  A ``None`` mtime marks the entry immune to
-    # ``linecache.checkcache`` eviction (the idiom IPython uses for cells).
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        cls = _CLASS_CACHE.get(key)
+        _CACHE_STATS["misses" if cls is None else "hits"] += 1
+    if cls is None:
+        # Generate and exec outside the lock: slow, and touches no shared state.
+        source, meta = generate_source_and_meta(
+            spec, decomposition, class_name, enforce_fds_default, sizes
+        )
+        module_name = f"repro.codegen.generated_{next(_generated_modules)}"
+        filename = f"<{module_name}>"
+        meta["module"] = module_name
+        meta["filename"] = filename
+        namespace: Dict[str, object] = {"__name__": module_name}
+        exec(compile(source, filename, "exec"), namespace)
+        cls = namespace[class_name]
+        cls.__repro_source__ = source  # type: ignore[attr-defined]
+        cls.__repro_meta__ = meta  # type: ignore[attr-defined]
+        # Register the generated module with linecache so tracebacks (and
+        # inspect.getsource) raised inside emitted mutators show the real
+        # generated lines instead of blank ``<repro.codegen.generated_N>``
+        # frames.  A ``None`` mtime marks the entry immune to
+        # ``linecache.checkcache`` eviction (the idiom IPython uses for
+        # cells), so the entry is tied to the class instead: it goes when
+        # the class is collected — after clear_codegen_cache(), or at once
+        # for the class a racing same-key compile throws away below.
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        weakref.finalize(cls, linecache.cache.pop, filename, None)
     with _CACHE_LOCK:
         # Re-check: a concurrent same-key compile may have won the race;
         # adopt its class so key-equal calls keep returning one object.
-        winner = _CLASS_CACHE.setdefault(key, cls)
-        if winner is not cls:
-            winner.SPEC = spec  # type: ignore[attr-defined]
-            winner.DECOMPOSITION = decomposition  # type: ignore[attr-defined]
-    return winner  # type: ignore[return-value]
+        cls = _CLASS_CACHE.setdefault(key, cls)
+        cls.SPEC = spec  # type: ignore[attr-defined]
+        cls.DECOMPOSITION = decomposition  # type: ignore[attr-defined]
+    return cls  # type: ignore[return-value]

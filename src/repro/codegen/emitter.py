@@ -60,26 +60,20 @@ class Emitter:
         """Undo *levels* :meth:`push` calls."""
         self._depth -= levels
 
-    def block(self, header: str) -> "_Block":
-        """Emit *header* and return a context manager indenting its body."""
-        self.line(header)
-        return _Block(self)
-
-    def fault_check(self, site: str, injector: str = "_F", guard: str = "") -> None:
+    def fault_check(self, site: str) -> None:
         """Emit a guarded fault-injection probe for *site*.
 
-        Two lines — ``if <injector>.active: <injector>.check(<site>)`` — the
-        same inert-by-default shape the hand-written tiers use: one
-        attribute read when no plan is armed, and never a counted access.
-        A *guard* expression replaces the ``.active`` attribute read when
-        the caller has already hoisted it into a local (safe because
-        ``check`` is a no-op for any site other than the armed one, and a
-        fault can only arm or disarm between top-level operations).
+        Two lines — ``if _fa: _F.check(<site>)`` — the same inert-by-default
+        shape the hand-written tiers use, never a counted access.  ``_fa``
+        is the injector's ``active`` flag, hoisted into a local at method
+        entry (safe because ``check`` is a no-op for any site other than
+        the armed one, and a fault can only arm or disarm between top-level
+        operations).
         """
         self.fault_sites.add(site)
-        self.line(f"if {guard or injector + '.active'}:")
+        self.line("if _fa:")
         with self.indent():
-            self.line(f"{injector}.check({site!r})")
+            self.line(f"_F.check({site!r})")
 
     def docstring(self, text: str) -> None:
         """Emit *text* as a (multi-line safe) docstring at current depth."""
@@ -93,14 +87,3 @@ class Emitter:
     def source(self) -> str:
         return "\n".join(self._lines) + "\n"
 
-
-class _Block:
-    def __init__(self, emitter: Emitter) -> None:
-        self._emitter = emitter
-
-    def __enter__(self) -> Emitter:
-        self._emitter._depth += 1
-        return self._emitter
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._emitter._depth -= 1

@@ -8,7 +8,11 @@ verifier fires the matching ``EA0xx`` code — proving every check catches the
 class of bug it exists for, not just that clean code passes.
 """
 
+import functools
+import gc
+import inspect
 import json
+import linecache
 
 import pytest
 
@@ -26,7 +30,13 @@ from repro.analysis import (
     verify_class,
     verify_source,
 )
-from repro.codegen import compile_relation, generate_source_and_meta
+from repro.autotuner.enumerator import canonical_shape, enumerate_decompositions
+from repro.codegen import (
+    clear_codegen_cache,
+    compile_relation,
+    generate_source_and_meta,
+    runtime,
+)
 from repro.decomposition.parser import parse_decomposition
 
 SCHED_LAYOUT = "ns -> htable pid -> htable {state, cpu}"
@@ -46,10 +56,15 @@ def _codes(diags):
     return {d.code for d in diags}
 
 
-def _verify(sched, source):
+def _verify(sched, source, runtime_source=None):
     spec, decomposition, _, meta = sched
     return verify_source(
-        source, name="Corrupted", meta=meta, spec=spec, decomposition=decomposition
+        source,
+        name="Corrupted",
+        meta=meta,
+        spec=spec,
+        decomposition=decomposition,
+        runtime_source=runtime_source,
     )
 
 
@@ -283,6 +298,22 @@ class TestVerifierNegative:
         bad = source.replace("_undo(_j)", "pass")
         assert "EA012" in _codes(_verify(sched, bad))
 
+    def test_ea021_uncharged_runtime_helper(self, sched):
+        # The list helpers live in the shared runtime, not in the emitted
+        # module: the audit must still reach them.
+        source = inspect.getsource(runtime)
+        start = source.index("def _l_get(")
+        end = source.index("\ndef ", start)
+        helper = "".join(
+            line
+            for line in source[start:end].splitlines(True)
+            if "_C.accesses +=" not in line
+        )
+        bad = source[:start] + helper + source[end:]
+        diags = _verify(sched, sched[2], runtime_source=bad)
+        assert any(d.code == "EA021" and "_l_get" in d.message for d in diags)
+        assert "EA021" not in _codes(_verify(sched, sched[2]))
+
     def test_ea020_uncharged_probe(self, sched):
         source = sched[2]
         bad = _drop_line(
@@ -314,6 +345,14 @@ class TestVerifierNegative:
         )
         assert "EA031" in _codes(_verify(sched, bad))
 
+    def test_ea032_non_literal_fault_site(self, sched):
+        source = sched[2]
+        bad = source.replace(
+            "_F.check('codegen.insert.store')",
+            "_F.check('codegen.insert.' + 'store')",
+        )
+        assert "EA032" in _codes(_verify(sched, bad))
+
     def test_ea040_missing_dispatch_entry(self, sched):
         source = sched[2]
         bad = _drop_line(source, "3: Compiled_", after="_VPLANS = {")
@@ -337,6 +376,19 @@ class TestVerifierNegative:
         bad = source.replace("_VCOLS = {}", "_VCOLS = {('ns',): None}")
         assert "EA042" in _codes(_verify(sched, bad))
 
+    def test_ea043_rm_entry_outside_batch_removable_set(self, sched):
+        # {ns} can match many rows; aliasing it onto the fused
+        # single-victim remover of {ns, pid} would remove at most one.
+        source = sched[2]
+        bad = _insert_before(
+            source,
+            "frozenset(('ns', 'pid',)): Compiled_",
+            "    frozenset(('ns',)): Compiled_decomposition._rm_6,\n",
+            after="_RM = {",
+        )
+        diags = _verify(sched, bad)
+        assert any(d.code == "EA043" and "['ns']" in d.message for d in diags)
+
     def test_ea050_undeclared_attribute_write(self, sched):
         source = sched[2]
         bad = source.replace(
@@ -347,6 +399,35 @@ class TestVerifierNegative:
         assert any(
             d.code == "EA050" and "_evil" in d.message for d in diags
         )
+
+
+# -- enumerated layouts ---------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _workload_specs():
+    from benchmarks.workloads import build_workloads
+
+    specs = {}
+    for workload in build_workloads(quick=True):
+        specs.setdefault(workload.spec.name, workload.spec)
+    return specs
+
+
+@pytest.mark.parametrize("spec_name", sorted(_workload_specs()))
+def test_sampled_enumerated_candidates_verify_clean(spec_name):
+    """The autotuner compiles enumerated candidates, not only the hand
+    layouts the CLI gate covers: verify an even-stride sample of eight per
+    workload spec, in both FD modes."""
+    spec = _workload_specs()[spec_name]
+    candidates = sorted(enumerate_decompositions(spec), key=canonical_shape)
+    assert len(candidates) >= 8
+    for i in range(8):
+        decomposition = candidates[i * len(candidates) // 8]
+        for enforce_fds in (True, False):
+            cls = compile_relation(spec, decomposition, enforce_fds_default=enforce_fds)
+            errors = [d for d in verify_class(cls) if d.severity == ERROR]
+            assert errors == [], canonical_shape(decomposition)
 
 
 # -- CLI gate -------------------------------------------------------------------
@@ -394,6 +475,17 @@ class TestEmittedMetadata:
         # generated mutators show the real source line.
         first = linecache.getline(meta["filename"], 1)
         assert first == cls.__repro_source__.splitlines(True)[0]
+
+    def test_collected_classes_release_their_linecache_entries(self, scheduler_spec):
+        def generated():
+            return {f for f in linecache.cache if f.startswith("<repro.codegen.generated_")}
+
+        before = generated()
+        for _ in range(50):
+            compile_relation(scheduler_spec, SCHED_LAYOUT)
+            clear_codegen_cache()
+        gc.collect()
+        assert len(generated() - before) <= 1
 
     def test_generated_traceback_points_at_real_source(self, scheduler_spec):
         import traceback

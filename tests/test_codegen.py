@@ -30,7 +30,7 @@ class TestGeneratedSource:
     def test_source_is_standalone_python(self, scheduler_spec):
         source = generate_source(scheduler_spec, SCHEDULER, class_name="X")
         compile(source, "<generated>", "exec")  # Syntactically valid.
-        assert "class X(RelationInterface):" in source
+        assert "class X(CompiledRelation):" in source
         assert "_PLANS" in source
 
     def test_source_attached_to_class(self, scheduler_spec):
@@ -156,6 +156,30 @@ class TestSchemaShapes:
         rel.remove({"v": None})
         assert len(rel) == 0
         rel.check_well_formed()
+
+    def test_list_edge_over_map_child_indexes_new_entries(self):
+        """A list-strategy edge whose child is a map node (or a shared cell)
+        appends fresh entries and indexes them together, so the uncounted
+        probes taken while the counter is off find them again instead of
+        appending duplicates."""
+        from repro.structures.base import COUNTER
+
+        assert not COUNTER.enabled
+        spec = RelationSpec("src, dst, weight", fds=["src, dst -> weight"], name="edge")
+        for layout in (
+            "dst -> dlist src -> avl {weight}",
+            "[src, dst -> htable @w ; dst -> vector (src -> htable @w)] where @w = {weight}",
+        ):
+            rel = compile_relation(spec, layout)()
+            reference = ReferenceRelation(spec)
+            for r in (rel, reference):
+                for src in range(3):
+                    for dst in range(3):
+                        r.insert(t(src=src, dst=dst, weight=src * dst))
+                r.remove({"src": 1, "dst": 1})
+            assert rel.to_relation() == reference.to_relation()
+            assert set(rel.query({"dst": 2})) == set(reference.query({"dst": 2}))
+            rel.check_well_formed()
 
     def test_single_column_spec(self):
         spec = RelationSpec("k", name="presence")
