@@ -4,13 +4,14 @@ Runs deterministic, seeded operation traces — modelled on the paper's
 Section 6 workloads (process scheduler, directed graph, spanning-forest
 components) — against the reference, interpreted and compiled
 implementations of the same relational specification, verifies they agree,
-and reports throughput plus deterministic
-:class:`~repro.structures.base.OperationCounter` access counts.
+and reports median wall-clock plus deterministic
+:class:`~repro.structures.base.OperationCounter` access counts in one JSON
+report, which one checker tests against every claim.
 
 Usage::
 
-    PYTHONPATH=src python -m benchmarks --quick --output BENCH_5.json
-    PYTHONPATH=src python benchmarks/check_regression.py BENCH_5.json benchmarks/baseline.json
+    PYTHONPATH=src python -m benchmarks --quick --output BENCH.json
+    python benchmarks/check.py BENCH.json
 """
 
 from .harness import main, run_all, run_workload

@@ -1,4 +1,4 @@
-"""``python -m benchmarks`` entry point (writes ``BENCH_5.json`` by default)."""
+"""``python -m benchmarks`` entry point (writes ``BENCH.json`` by default)."""
 
 from .harness import main
 

@@ -1,40 +1,38 @@
 """Drive the reference / interpreted / compiled tiers through identical traces.
 
-For each workload the harness builds one fresh relation per tier, replays
-the same operation trace, and records:
+``python -m benchmarks [--quick] [--output PATH]`` is the one benchmark
+run; ``python benchmarks/check.py PATH`` checks every claim against the
+report it writes.  For each workload the harness records, per tier:
 
-* wall-clock seconds and operations/second (``time.perf_counter``);
-* deterministic container accesses from a second, instrumented replay under
-  :data:`repro.structures.base.COUNTER` (machine-independent — this is what
-  the CI regression check compares);
+* ``median_seconds`` and ``samples``: three timed replays
+  (``time.perf_counter``), each on a fresh relation;
+* ``accesses``: one more replay under
+  :data:`repro.structures.base.COUNTER`.  Unlike the timings these counts
+  are machine-independent; they are exact for a fixed interpreter ``str``
+  hash, which ``meta`` records as ``hash_algorithm`` and ``hash_seed``;
 * the final relation, asserted identical across tiers (a coarse soundness
-  check riding along with every benchmark run);
-* the **autotuned** column: the §5 autotuner (:mod:`repro.autotuner`) picks
-  a layout for each workload from its own trace, and the report shows the
-  winner's access count next to every hand-written layout replayed on the
-  same trace (``--skip-autotune`` drops the column).
+  check riding along with every benchmark run).
 
-Results are written as JSON (``BENCH_6.json`` by convention at the repo
-root); ``benchmarks/baseline.json`` holds the checked-in baseline used by
-``benchmarks/check_regression.py``.  The report also carries a
-``join_plan`` section (see ``benchmarks/check_join.py``): on the
-split-pattern ``graph_reverse`` workload the hot query's cross-branch join
-plan is measured against the best single-path plan over the same populated
-instance; and a ``retune`` section (see ``benchmarks/check_retune.py``):
-on the drifting ``graph_drift`` workload a ``LiveRelation`` must re-tune
-and hot-swap, and the post-swap layout must beat the pre-swap one on the
-drifted tail.
+Each workload also gets an ``autotuned`` section: the §5 autotuner
+(:mod:`repro.autotuner`) picks a layout from the workload's own trace, and
+the report shows the winner's access count next to every hand-written
+layout replayed on the same trace.  Two sections measure one workload
+each: ``join_plan`` (:func:`measure_join_benefit`, the §4 cross-branch
+join on ``graph_reverse``) and ``retune`` (:func:`measure_retune`, the
+live re-tune hot-swap on ``graph_drift``).
 
-Every tier is constructed through :func:`repro.open` (the unified factory
-of ISSUE 6), so the factory's dispatch path is exercised — and its overhead
-pinned — by the same regression gate that watches the tiers themselves.
+Every tier is constructed through :func:`repro.open`, so the factory's
+dispatch path is exercised — and its overhead pinned — by the same access
+claim that watches the tiers themselves.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
 import sys
 import time
 from typing import Dict, List, Optional
@@ -46,12 +44,32 @@ from repro.core.interface import RelationInterface
 from repro.decomposition import parse_decomposition
 from repro.structures import COUNTER
 
-from . import check_join, check_retune
 from .workloads import Workload, build_workloads
 
-__all__ = ["main", "run_all", "run_workload", "run_autotuner", "replay"]
+__all__ = [
+    "main",
+    "run_all",
+    "run_workload",
+    "run_autotuner",
+    "replay",
+    "measure_join_benefit",
+    "measure_retune",
+]
 
 TIERS = ("reference", "interpreted", "compiled")
+
+#: Timed replays per workload and tier; the report keeps their median.
+REPEAT = 3
+
+#: Workload and hot pattern of the ``join_plan`` section.
+JOIN_WORKLOAD = "graph_reverse"
+HOT_PATTERN = ("dst",)
+
+#: The drifting workload of the ``retune`` section, and the re-tune policy
+#: for its live run: thresholds small enough that the drifted tail
+#: (scale*4 operations) comfortably triggers the swap.
+RETUNE_WORKLOAD = "graph_drift"
+RETUNE_POLICY = {"min_ops": 150, "drift_threshold": 0.25}
 
 
 def make_tier(tier: str, workload: Workload) -> RelationInterface:
@@ -62,9 +80,9 @@ def make_tier(tier: str, workload: Workload) -> RelationInterface:
     compile-time plan table, including cross-branch join plans on split
     patterns) is synthesized for the workload it will run.  Tiers are
     opened non-live: the benchmarked numbers measure the representations
-    themselves, and the regression gate thereby also pins the factory's
+    themselves, and the access claim thereby also pins the factory's
     dispatch overhead; the live facade is measured separately by the
-    ``retune`` section (see ``benchmarks/check_retune.py``).
+    ``retune`` section.
     """
     sizes = None
     if tier == "compiled":
@@ -87,7 +105,7 @@ def replay(relation: RelationInterface, trace: List[tuple]) -> int:
     return replay_operations(relation, trace)
 
 
-def run_autotuner(workload: Workload, verbose: bool = True) -> Dict:
+def run_autotuner(workload: Workload) -> Dict:
     """Tune *workload* from its own trace; report the winner vs hand layouts.
 
     Every hand-written layout (the workload's primary plus its
@@ -132,27 +150,35 @@ def run_autotuner(workload: Workload, verbose: bool = True) -> Dict:
         if result.winner.accesses
         else None,
     }
-    if verbose:
-        print(
-            f"  {'autotuned':12s} {report['accesses']:>12,d} accesses"
-            f"  ({report['speedup_vs_best_hand']}x best hand layout; "
-            f"{report['candidates_enumerated']} candidates)",
-            file=sys.stderr,
-        )
+    print(
+        f"  {'autotuned':12s} {report['accesses']:>12,d} accesses"
+        f"  ({report['speedup_vs_best_hand']}x best hand layout; "
+        f"{report['candidates_enumerated']} candidates)",
+        file=sys.stderr,
+    )
     return report
 
 
-def run_workload(workload: Workload, verbose: bool = True) -> Dict:
-    """Benchmark every tier on *workload*; verify the tiers agree."""
+def run_workload(workload: Workload) -> Dict:
+    """Time and count every tier on *workload*; verify the tiers agree."""
     results: Dict[str, Dict] = {}
     final = None
     for tier in TIERS:
-        relation = make_tier(tier, workload)
-        started = time.perf_counter()
-        ops = replay(relation, workload.trace)
-        seconds = time.perf_counter() - started
+        samples = []
+        for _ in range(REPEAT):
+            relation = make_tier(tier, workload)
+            started = time.perf_counter()
+            replay(relation, workload.trace)
+            samples.append(time.perf_counter() - started)
 
-        outcome = relation.to_relation()
+        # One more, instrumented replay on a fresh instance: COUNTER numbers
+        # are deterministic and machine-independent, unlike the timings.
+        instrumented = make_tier(tier, workload)
+        with COUNTER:
+            replay(instrumented, workload.trace)
+            accesses = COUNTER.accesses
+
+        outcome = instrumented.to_relation()
         if final is None:
             final = outcome
         elif outcome != final:
@@ -160,90 +186,190 @@ def run_workload(workload: Workload, verbose: bool = True) -> Dict:
                 f"tier {tier!r} diverged from the reference on workload "
                 f"{workload.name!r}: {len(outcome.tuples ^ final.tuples)} differing tuple(s)"
             )
-
-        # Second, instrumented replay on a fresh instance: COUNTER numbers
-        # are deterministic and machine-independent, unlike the timings.
-        instrumented = make_tier(tier, workload)
-        with COUNTER:
-            replay(instrumented, workload.trace)
-            accesses = COUNTER.accesses
         results[tier] = {
-            "seconds": round(seconds, 6),
-            "ops": ops,
-            "ops_per_sec": round(ops / seconds, 1) if seconds else float("inf"),
+            "median_seconds": round(statistics.median(samples), 6),
+            "samples": [round(s, 6) for s in samples],
             "accesses": accesses,
         }
-        if verbose:
-            print(
-                f"  {tier:12s} {results[tier]['ops_per_sec']:>12,.0f} ops/s"
-                f"  {accesses:>12,d} accesses  ({seconds:.3f}s)",
-                file=sys.stderr,
-            )
-    interp = results["interpreted"]["seconds"]
-    compiled = results["compiled"]["seconds"]
+        print(
+            f"  {tier:12s} {accesses:>12,d} accesses"
+            f"  median {results[tier]['median_seconds']:.4f}s",
+            file=sys.stderr,
+        )
     return {
         "description": workload.description,
         "layout": workload.layout,
         "ops": len(workload.trace),
         "final_size": len(final.tuples),
         "tiers": results,
-        "speedup_compiled_vs_interpreted": round(interp / compiled, 2) if compiled else None,
-        "speedup_compiled_vs_reference": round(
-            results["reference"]["seconds"] / compiled, 2
-        )
-        if compiled
+    }
+
+
+def measure_join_benefit(workload: Workload) -> Dict:
+    """Replay *workload* on the interpreted tier, then measure the hot
+    pattern's chosen plan against the best single-path plan.
+
+    Both plans run over the identical populated instance and every distinct
+    value of the hot pattern's column(s), under the library-wide
+    :class:`~repro.structures.base.OperationCounter` — machine- and
+    timing-independent.  Returns the ``join_plan`` report section.
+    """
+    from repro.core import Tuple
+    from repro.decomposition import DecomposedRelation, JoinPlan, execute_plan, plan_query
+
+    relation = DecomposedRelation(workload.spec, workload.layout)
+    replay(relation, workload.trace)
+
+    pattern_cols = frozenset(HOT_PATTERN)
+    chosen = relation.plan_for(pattern_cols)
+    single = plan_query(
+        relation.decomposition,
+        pattern_cols,
+        sizes=relation.instance.edge_sizes(),
+        spec=workload.spec,
+        allow_join=False,
+    )
+    values = sorted(
+        {tuple(t[c] for c in sorted(pattern_cols)) for t in relation.instance.iter_tuples()}
+    )
+    patterns = [
+        Tuple(dict(zip(sorted(pattern_cols), value))) for value in values
+    ]
+
+    def count(plan) -> int:
+        with COUNTER:
+            for pattern in patterns:
+                rows = list(execute_plan(plan, relation.instance, pattern))
+                assert rows is not None
+            return COUNTER.accesses
+
+    chosen_accesses = count(chosen)
+    single_accesses = count(single)
+    # Both plans must agree on every result (they answer the same queries).
+    for pattern in patterns:
+        left = set(execute_plan(chosen, relation.instance, pattern))
+        right = set(execute_plan(single, relation.instance, pattern))
+        assert left == right, f"join and single-path plans disagree on {pattern!r}"
+    return {
+        "workload": workload.name,
+        "pattern": sorted(pattern_cols),
+        "queries": len(patterns),
+        "chosen_plan": chosen.describe(),
+        "chosen_is_join": isinstance(chosen, JoinPlan),
+        "join_accesses": chosen_accesses,
+        "single_accesses": single_accesses,
+        "single_plan": single.describe(),
+        "speedup": round(single_accesses / chosen_accesses, 2)
+        if chosen_accesses
         else None,
     }
 
 
-def run_all(
-    quick: bool = False,
-    names: Optional[List[str]] = None,
-    verbose: bool = True,
-    tune: bool = True,
-) -> Dict:
-    workloads = build_workloads(quick=quick, names=names)
+def measure_retune(workload: Workload) -> Dict:
+    """Drive *workload* through a live relation; measure the swap's payoff.
+
+    Three measurements over the same trace:
+
+    1. a ``repro.open(spec, layout, live=True)`` run over the full trace —
+       must auto-re-tune, hot-swap at least once, and finish α-equivalent
+       to a :class:`~repro.core.reference.ReferenceRelation` mirror;
+    2. the **pre-swap** layout: a fresh compiled instance of the phase-1
+       layout, replaying the whole trace with only the drifted tail's
+       accesses counted;
+    3. the **post-swap** layout: the layout the live run swapped to, same
+       protocol.
+
+    Counting only the tail on fresh instances isolates the layouts'
+    steady-state costs from the one-off migration cost (which is also
+    reported, separately).
+    """
+    from repro.live import SamplingTraceRecorder
+
+    assert workload.tail_start is not None, "drift workloads must set tail_start"
+    head = workload.trace[: workload.tail_start]
+    tail = workload.trace[workload.tail_start :]
+
+    live = repro.open(
+        workload.spec,
+        workload.layout,
+        live=True,
+        policy=RETUNE_POLICY,
+        sampler=SamplingTraceRecorder(seed=0),
+    )
+    mirror = repro.open(workload.spec, tier="reference")
+    replay(live, workload.trace)
+    replay(mirror, workload.trace)
+    alpha_equivalent = live.to_relation() == mirror.to_relation()
+    swaps = [r for r in live.retunes if r.swapped]
+    new_layout = live.backing_layout()
+
+    def tail_accesses(layout: str) -> int:
+        relation = repro.open(workload.spec, layout, tier="compiled")
+        replay(relation, head)
+        with COUNTER:
+            replay(relation, tail)
+            return COUNTER.accesses
+
+    old_tail = tail_accesses(workload.layout)
+    new_tail = tail_accesses(new_layout)
+
+    return {
+        "workload": workload.name,
+        "ops": len(workload.trace),
+        "tail_start": workload.tail_start,
+        "old_layout": workload.layout,
+        "new_layout": new_layout,
+        "retunes": len(live.retunes),
+        "swaps": len(swaps),
+        "generation": live.generation,
+        "migrated_rows": sum(r.migrated for r in swaps),
+        "alpha_equivalent": alpha_equivalent,
+        "sampler": live.sampler.stats(),
+        "old_tail_accesses": old_tail,
+        "new_tail_accesses": new_tail,
+        "speedup": round(old_tail / new_tail, 2) if new_tail else None,
+    }
+
+
+def _hash_seed():
+    """``PYTHONHASHSEED`` as an integer, or None when ``str`` hashing is
+    randomised (unset or ``random``)."""
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    return int(seed) if seed.isdigit() else None
+
+
+def run_all(quick: bool = False) -> Dict:
     report: Dict = {
         "meta": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "mode": "quick" if quick else "default",
+            "repeat": REPEAT,
+            "hash_algorithm": sys.hash_info.algorithm,
+            "hash_seed": _hash_seed(),
         },
         "workloads": {},
     }
-    for workload in workloads:
-        if verbose:
-            print(f"{workload.name}: {len(workload.trace)} ops", file=sys.stderr)
-        data = run_workload(workload, verbose=verbose)
-        if tune:
-            data["autotuned"] = run_autotuner(workload, verbose=verbose)
+    for workload in build_workloads(quick=quick):
+        print(f"{workload.name}: {len(workload.trace)} ops", file=sys.stderr)
+        data = run_workload(workload)
+        data["autotuned"] = run_autotuner(workload)
         report["workloads"][workload.name] = data
-        if workload.name == check_join.WORKLOAD:
-            # The §4 join gate's measurement: the hot split pattern's join
-            # plan vs the best single-path plan on the populated instance.
-            report["join_plan"] = check_join.measure_join_benefit(workload)
-            if verbose:
-                section = report["join_plan"]
-                print(
-                    f"  {'join-plan':12s} {section['join_accesses']:>12,d} accesses"
-                    f"  vs single-path {section['single_accesses']:,d} "
-                    f"({section['speedup']}x)",
-                    file=sys.stderr,
-                )
-        if workload.name == check_retune.WORKLOAD:
-            # The online-adaptivity gate's measurement: a LiveRelation run
-            # over the drifting trace must re-tune and hot-swap, and the
-            # post-swap layout must beat the pre-swap one on the drifted
-            # tail (counted accesses on fresh instances of each layout).
-            report["retune"] = check_retune.measure_retune(workload)
-            if verbose:
-                section = report["retune"]
-                print(
-                    f"  {'retune':12s} {section['new_tail_accesses']:>12,d} accesses"
-                    f"  vs pre-swap {section['old_tail_accesses']:,d} on the tail "
-                    f"({section['speedup']}x; {section['swaps']} swap(s))",
-                    file=sys.stderr,
-                )
+        if workload.name == JOIN_WORKLOAD:
+            section = report["join_plan"] = measure_join_benefit(workload)
+            print(
+                f"  {'join-plan':12s} {section['join_accesses']:>12,d} accesses"
+                f"  vs single-path {section['single_accesses']:,d}",
+                file=sys.stderr,
+            )
+        if workload.name == RETUNE_WORKLOAD:
+            section = report["retune"] = measure_retune(workload)
+            print(
+                f"  {'retune':12s} {section['new_tail_accesses']:>12,d} accesses"
+                f"  vs pre-swap {section['old_tail_accesses']:,d} on the tail"
+                f" ({section['swaps']} swap(s))",
+                file=sys.stderr,
+            )
     return report
 
 
@@ -253,47 +379,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Benchmark the reference/interpreted/compiled representation tiers.",
     )
     parser.add_argument(
-        "--quick", action="store_true", help="small traces (CI smoke mode)"
+        "--quick", action="store_true", help="small traces (the CI configuration)"
     )
     parser.add_argument(
-        "--output", default="BENCH_6.json", help="where to write the JSON report"
+        "--output", default="BENCH.json", help="where to write the JSON report"
     )
-    parser.add_argument(
-        "--workloads",
-        nargs="*",
-        default=None,
-        help="subset of workloads to run (default: all)",
-    )
-    parser.add_argument(
-        "--skip-autotune",
-        action="store_true",
-        help="skip the autotuner column (faster; tiers only)",
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
-
-    report = run_all(
-        quick=args.quick,
-        names=args.workloads,
-        verbose=not args.quiet,
-        tune=not args.skip_autotune,
-    )
+    report = run_all(quick=args.quick)
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    if not args.quiet:
-        for name, data in sorted(report["workloads"].items()):
-            print(
-                f"{name}: compiled is {data['speedup_compiled_vs_interpreted']}x the "
-                f"interpreted tier ({data['ops']} ops)",
-                file=sys.stderr,
-            )
-            tuned = data.get("autotuned")
-            if tuned:
-                print(
-                    f"{name}: autotuned layout is {tuned['speedup_vs_best_hand']}x the "
-                    f"best hand-written layout ({tuned['accesses']:,d} accesses)",
-                    file=sys.stderr,
-                )
-        print(f"wrote {args.output}", file=sys.stderr)
+    print(f"wrote {args.output}", file=sys.stderr)
     return 0

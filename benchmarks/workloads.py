@@ -55,8 +55,8 @@ class Workload:
         self.trace = trace
         self.alternatives: Dict[str, str] = dict(alternatives or {})
         #: For drifting workloads: the trace index where the operation mix
-        #: flips.  ``trace[tail_start:]`` is the drifted tail the re-tune
-        #: gate (benchmarks/check_retune.py) measures layouts against.
+        #: flips.  ``trace[tail_start:]`` is the drifted tail the report's
+        #: ``retune`` section measures layouts against.
         self.tail_start = tail_start
 
     def hand_layouts(self) -> Dict[str, str]:
@@ -150,7 +150,7 @@ def scheduler_churn(scale: int) -> Workload:
     while the per-state lists stay hot.  On the copied layout every exit
     scans the victim's state list twice (lookup + unlink); on the shared
     layout the record is one object unlinked in O(1) from the intrusive
-    list — the access-count gap the CI sharing gate pins.
+    list — the access-count gap the ``sharing`` claim pins.
     """
     spec = RelationSpec(
         "ns, pid, state, cpu",
@@ -260,8 +260,8 @@ def graph_reverse(scale: int) -> Workload:
     weights live only under the ``src``-keyed primary, so the two branches
     must be joined.  On the best single-path plan the query scans the whole
     ``src`` level; the join plan pays one secondary lookup plus two primary
-    lookups per in-edge.  ``benchmarks/check_join.py`` gates that the join
-    stays strictly cheaper.
+    lookups per in-edge.  The ``join`` claim of ``benchmarks/check.py``
+    gates that the join stays strictly cheaper.
     """
     spec = RelationSpec(
         "src, dst, weight",
@@ -319,8 +319,8 @@ def graph_drift(scale: int) -> Workload:
     every reverse query scans the whole ``src`` level.  This is the
     online-adaptivity scenario: a ``LiveRelation`` opened on the phase-1
     layout detects the mix drift, re-tunes, and hot-swaps to a
-    ``dst``-keyed layout; ``benchmarks/check_retune.py`` gates that the
-    post-swap layout is strictly cheaper on the drifted tail.
+    ``dst``-keyed layout; the ``retune`` claim of ``benchmarks/check.py``
+    gates that the post-swap layout is strictly cheaper on the drifted tail.
     """
     spec = RelationSpec(
         "src, dst, weight",

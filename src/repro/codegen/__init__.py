@@ -23,8 +23,8 @@ interpreted    ``DecomposedRelation``              plan cache + DAG walking
 compiled       ``compile_relation(spec, d)()``     straight-line specialised
 =============  ==================================  =========================
 
-``benchmarks/`` drives all three through identical traces and records the
-resulting throughput and operation counts in ``BENCH_6.json``.
+``python -m benchmarks`` drives all three through identical traces and
+records their median wall-clock and counted accesses in one JSON report.
 """
 
 from .compiler import (

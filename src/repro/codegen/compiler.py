@@ -53,6 +53,7 @@ import linecache
 import re
 import threading
 import weakref
+from collections import OrderedDict
 from contextlib import contextmanager
 from itertools import count as _count_from
 from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional
@@ -1636,7 +1637,11 @@ def generate_source_and_meta(
 #: ``synthesize`` calls — reuse the class instead of re-generating and
 #: re-``exec``-ing the module.  Structure aliases collapse (``btree`` and
 #: ``avl`` layouts share one entry) because the canonical shape does.
-_CLASS_CACHE: Dict[tuple, type] = {}
+#: Least recently used first: past :data:`CLASS_CACHE_BOUND` entries the
+#: oldest is dropped, so a process that compiles many layouts (a
+#: ``LiveRelation`` re-tuning across shapes and size classes) does not keep
+#: every class and its ``linecache`` source alive.
+_CLASS_CACHE: "OrderedDict[tuple, type]" = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0}
 #: Guards ``_CLASS_CACHE`` / ``_CACHE_STATS``: a ``LiveRelation`` re-tune can
 #: compile a new backing class on one thread while another thread calls
@@ -1645,6 +1650,11 @@ _CACHE_STATS = {"hits": 0, "misses": 0}
 #: no shared state); the insert re-checks the key so concurrent same-key
 #: compiles still resolve to a single shared class object.
 _CACHE_LOCK = threading.RLock()
+
+#: Most generated classes :data:`_CLASS_CACHE` keeps.  An evicted class stays
+#: valid for instances (and callers) that still hold it; a later compile of
+#: its key simply misses and generates a fresh one.
+CLASS_CACHE_BOUND = 128
 
 
 def _cache_key(
@@ -1759,14 +1769,18 @@ def compile_relation(
         # frames.  A ``None`` mtime marks the entry immune to
         # ``linecache.checkcache`` eviction (the idiom IPython uses for
         # cells), so the entry is tied to the class instead: it goes when
-        # the class is collected — after clear_codegen_cache(), or at once
-        # for the class a racing same-key compile throws away below.
+        # the class is collected — after clear_codegen_cache() or eviction,
+        # or at once for the class a racing same-key compile throws away below.
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         weakref.finalize(cls, linecache.cache.pop, filename, None)
     with _CACHE_LOCK:
         # Re-check: a concurrent same-key compile may have won the race;
         # adopt its class so key-equal calls keep returning one object.
+        # Hits and misses alike become the most recently used entry.
         cls = _CLASS_CACHE.setdefault(key, cls)
+        _CLASS_CACHE.move_to_end(key)
+        while len(_CLASS_CACHE) > CLASS_CACHE_BOUND:
+            _CLASS_CACHE.popitem(last=False)
         cls.SPEC = spec  # type: ignore[attr-defined]
         cls.DECOMPOSITION = decomposition  # type: ignore[attr-defined]
     return cls  # type: ignore[return-value]

@@ -10,8 +10,8 @@ Covers the recursive plan IR introduced for split-pattern queries:
 * every plan the planner returns passes the Figure 8 FD-closure validity
   check, and hand-built invalid plans are rejected with diagnostics naming
   the underdetermined columns;
-* the generated-class cache of :mod:`repro.codegen` (satellite of the same
-  PR) reuses compiled classes keyed by canonical shape.
+* the generated-class cache of :mod:`repro.codegen` reuses compiled
+  classes keyed by canonical shape, and stays within its LRU bound.
 """
 
 import random
@@ -344,3 +344,67 @@ class TestCodegenClassCache:
         d = parse_decomposition(SPLIT)
         compile_relation(GRAPH_SPEC, d, sizes=join_friendly_sizes(d))
         assert codegen_cache_stats()["misses"] == 3
+
+
+class TestBoundedClassCache:
+    """The class cache evicts least-recently-used entries past its bound."""
+
+    @pytest.fixture(autouse=True)
+    def bound_of_four(self, monkeypatch):
+        import repro.codegen.compiler as compiler_mod
+
+        monkeypatch.setattr(compiler_mod, "CLASS_CACHE_BOUND", 4)
+        clear_codegen_cache()
+        yield
+        clear_codegen_cache()
+
+    @staticmethod
+    def compile_named(i):
+        # The class name is part of the cache key: one distinct entry each.
+        return compile_relation(GRAPH_SPEC, SPLIT, class_name=f"Bounded{i}")
+
+    def test_size_never_exceeds_the_bound(self):
+        for i in range(10):
+            self.compile_named(i)
+            assert codegen_cache_stats()["size"] == min(i + 1, 4)
+        assert codegen_cache_stats() == {"hits": 0, "misses": 10, "size": 4}
+
+    def test_a_hit_refreshes_recency(self):
+        first = [self.compile_named(i) for i in range(4)]
+        assert self.compile_named(0) is first[0]  # hit: 0 is now the newest
+        self.compile_named(4)  # evicts 1, the least recently used
+        assert self.compile_named(0) is first[0]
+        assert codegen_cache_stats()["hits"] == 2
+        assert self.compile_named(1) is not first[1]
+
+    def test_an_evicted_key_recompiles_as_a_miss(self):
+        evicted = self.compile_named(0)
+        for i in range(1, 5):
+            self.compile_named(i)
+        before = codegen_cache_stats()["misses"]
+        again = self.compile_named(0)
+        assert again is not evicted
+        assert codegen_cache_stats()["misses"] == before + 1
+
+    def test_instances_of_an_evicted_class_keep_answering(self):
+        relation = self.compile_named(0)()
+        relation.insert(Tuple(src=1, dst=2, weight=3))
+        for i in range(1, 9):
+            self.compile_named(i)
+        relation.insert(Tuple(src=4, dst=2, weight=5))
+        assert set(relation.query(Tuple(dst=2))) == {
+            Tuple(src=1, dst=2, weight=3),
+            Tuple(src=4, dst=2, weight=5),
+        }
+        relation.check_well_formed()
+
+    def test_a_collected_evicted_class_releases_its_linecache_entry(self):
+        import gc
+        import linecache
+
+        filename = self.compile_named(0).__repro_meta__["filename"]
+        assert filename in linecache.cache
+        for i in range(1, 5):
+            self.compile_named(i)
+        gc.collect()
+        assert filename not in linecache.cache
