@@ -10,8 +10,9 @@ report it writes.  For each workload the harness records, per tier:
   :data:`repro.structures.base.COUNTER`.  Unlike the timings these counts
   are machine-independent; they are exact for a fixed interpreter ``str``
   hash, which ``meta`` records as ``hash_algorithm`` and ``hash_seed``;
-* the final relation, asserted identical across tiers (a coarse soundness
-  check riding along with every benchmark run).
+* the final relation of the last timed replay and of the instrumented
+  one, asserted identical across tiers (a coarse soundness check riding
+  along with every benchmark run).
 
 Each workload also gets an ``autotuned`` section: the §5 autotuner
 (:mod:`repro.autotuner`) picks a layout from the workload's own trace, and
@@ -178,14 +179,18 @@ def run_workload(workload: Workload) -> Dict:
             replay(instrumented, workload.trace)
             accesses = COUNTER.accesses
 
-        outcome = instrumented.to_relation()
-        if final is None:
-            final = outcome
-        elif outcome != final:
-            raise AssertionError(
-                f"tier {tier!r} diverged from the reference on workload "
-                f"{workload.name!r}: {len(outcome.tuples ^ final.tuples)} differing tuple(s)"
-            )
+        # Check both replays: the compiled tier takes different code paths
+        # with COUNTER off (the timed replays, and every user's default) and
+        # on (the instrumented replay).
+        for replayed in (relation, instrumented):
+            outcome = replayed.to_relation()
+            if final is None:
+                final = outcome
+            elif outcome != final:
+                raise AssertionError(
+                    f"tier {tier!r} diverged from the reference on workload "
+                    f"{workload.name!r}: {len(outcome.tuples ^ final.tuples)} differing tuple(s)"
+                )
         results[tier] = {
             "median_seconds": round(statistics.median(samples), 6),
             "samples": [round(s, 6) for s in samples],
