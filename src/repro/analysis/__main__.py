@@ -70,12 +70,6 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="also write the findings as JSON (the CI artifact)",
     )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="build full-length traces for the trace-informed lints "
-        "(default: quick traces; findings are the same on the benchmark set)",
-    )
     args = parser.parse_args(argv)
 
     # Imported late: benchmarks/ sits next to src/ on the path, and pulling
@@ -84,7 +78,8 @@ def main(argv=None) -> int:
 
     from ..autotuner.trace import Trace
 
-    workloads = build_workloads(quick=not args.full, names=args.workloads)
+    # Quick traces: the trace-informed lints find the same on full-length ones.
+    workloads = build_workloads(quick=True, names=args.workloads)
 
     diags: List[Diagnostic] = []
     emitted_sites: set = set()

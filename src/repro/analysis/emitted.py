@@ -14,13 +14,17 @@ tables.  Four disciplines make that code trustworthy, and all four are
   ``if en: _C.accesses += ...`` charge, so the benchmark counters can't
   silently under-report (the list-strategy helpers charge internally; they
   live in :mod:`repro.codegen.runtime` and are audited there).
-* **Fault-site hygiene** — every ``_F.check(site)`` is guarded by the
-  injector's ``active`` flag and names a site registered with
-  :mod:`repro.faults`, so the chaos sweep actually reaches it.
+* **Fault-site hygiene** — every ``_F.check(site)`` is guarded by
+  ``if _fa:`` (the injector's ``active`` flag) and names a site registered
+  with :mod:`repro.faults`, so the chaos sweep actually reaches it.
 * **Dispatch completeness** — ``_PLANS``/``_VPLANS`` cover exactly the
   layout's adequate bound-patterns with no dead or mistargeted entries,
   ``_VCOLS`` starts empty, and ``_RM`` only fuses patterns the compiler
   proved batch-removable.
+
+Each discipline is one rule, written for the one spelling the compiler
+emits (``if en:``, ``if _fa:``, ``_F.check``, ``except BaseException:``):
+any other spelling is a finding, not an alternative.
 
 The checks run on ``cls.__repro_source__`` (persisted by
 :func:`repro.codegen.compile_relation`) plus the source of the runtime
@@ -35,7 +39,8 @@ Diagnostic codes (stable; ``error`` unless noted):
 EA001    source does not parse / expected module structure missing
 EA010    container mutation outside any try/rollback scope
 EA011    container mutation whose statement list carries no journal entry
-EA012    rollback handler missing the ``_undo`` replay (or the re-raise)
+EA012    mutator handler that is not ``except BaseException:`` with the
+         ``_undo`` replay and the re-raise
 EA020    counted container probe not dominated by an access charge
 EA021    runtime list helper missing (or missing its charge or journal)
 EA030    fault check names an unregistered site
@@ -56,7 +61,7 @@ from __future__ import annotations
 import ast
 import inspect
 import re
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..faults import FAULTS
 from .diagnostics import ERROR, WARNING, Diagnostic, Loc
@@ -74,6 +79,9 @@ _CHARGED_RE = re.compile(
     r"^(insert|_insert_row|remove|_remove_row|update|_update_in_place"
     r"|_rm_\d+|_qv_\d+|_q_\d+|_rows_path_\d+|_range_rows)$"
 )
+
+#: Specialised methods: each must be reachable from its dispatch table.
+_SPECIALISED_RE = re.compile(r"^(_qv_|_q_|_rm_)\d+$")
 
 #: ``self`` attributes that are bookkeeping, not journalled container state:
 #: counters and the ordered-scan snapshot cache, all rebuilt or reconciled
@@ -101,12 +109,22 @@ _MUTATING_METHODS = frozenset(
 _JOURNAL = 1  # registry-derived: journalled, never counted
 _CHARGED = 2  # index-structure-derived: journalled and counted
 
+#: The dispatch tables, one rule for all three: table name, the prefix its
+#: entries' methods carry (followed by the entry's mask), the code for a
+#: bad entry, whether every adequate bound-pattern needs an entry, and
+#: whether keys are int masks (else ``frozenset((...))`` column sets).
+_TABLES = (
+    ("_VPLANS", "_qv_", "EA041", True, True),
+    ("_PLANS", "_q_", "EA041", True, False),
+    ("_RM", "_rm_", "EA043", False, False),
+)
+
 
 def verify_class(cls: type) -> List[Diagnostic]:
     """Verify one compiled relation class (``repro.codegen`` output).
 
-    Reads ``cls.__repro_source__`` and ``cls.__repro_meta__`` and, when
-    available, independently recomputes the expected dispatch patterns from
+    Reads ``cls.__repro_source__`` and ``cls.__repro_meta__`` and
+    independently recomputes the expected dispatch patterns from
     ``cls.SPEC`` / ``cls.DECOMPOSITION``.
     """
     source = getattr(cls, "__repro_source__", None)
@@ -141,30 +159,28 @@ def verify_source(
     """Verify emitted module *source*; returns the findings (possibly empty).
 
     *meta* is the compiler's ``__repro_meta__`` record (cross-checked when
-    given); *spec*/*decomposition* enable the independent recomputation of
-    the adequate bound-pattern set; *registered_sites* overrides the live
-    fault registry (tests use this to orphan a site deterministically);
-    *runtime_source* overrides the source of :mod:`repro.codegen.runtime`,
-    whose list helpers are audited (tests pass a corrupted copy).
+    given).  The completeness rules — EA040 and the dead-entry halves of
+    EA041/EA043 — recompute the adequate bound-patterns from *spec* and
+    *decomposition* and need both; without them they are skipped.
+    *registered_sites* overrides the live fault registry (tests use this to
+    orphan a site deterministically); *runtime_source* overrides the source
+    of :mod:`repro.codegen.runtime`, whose list helpers are audited (tests
+    pass a corrupted copy).
     """
     if registered_sites is None:
         registered_sites = set(FAULTS.sites())
-    diags: List[Diagnostic] = []
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        diags.append(
-            Diagnostic("EA001", ERROR, f"source does not parse: {exc}", Loc(name, "", exc.lineno or 0))
-        )
-        return diags
+        loc = Loc(name, "", exc.lineno or 0)
+        return [Diagnostic("EA001", ERROR, f"source does not parse: {exc}", loc)]
 
     model = _ModuleModel(tree, name)
     if model.cls is None:
-        diags.append(
-            Diagnostic("EA001", ERROR, "no relation class definition found in source", Loc(name))
-        )
-        return diags
+        message = "no class deriving CompiledRelation in source"
+        return [Diagnostic("EA001", ERROR, message, Loc(name))]
 
+    diags: List[Diagnostic] = []
     if runtime_source is None:
         from ..codegen import runtime
 
@@ -173,8 +189,9 @@ def verify_source(
     for method in model.methods.values():
         _MethodChecker(model, method, diags, registered_sites).run()
     _check_attributes(model, diags)
-    _check_dispatch(model, diags, meta, spec, decomposition)
-    _check_meta(model, diags, meta)
+    rm_masks = _check_dispatch(model, diags, _expected_masks(model, spec, decomposition))
+    if meta:
+        _check_meta(model, diags, meta, rm_masks)
     return diags
 
 
@@ -182,26 +199,24 @@ def verify_source(
 
 
 class _ModuleModel:
-    """Parsed structure of one emitted module: class and dispatch tables."""
+    """Parsed structure of one emitted module: the relation class (the one
+    deriving ``CompiledRelation``) and the module-level assignments."""
 
     def __init__(self, tree: ast.Module, name: str) -> None:
         self.name = name
         self.cls: Optional[ast.ClassDef] = None
-        self.dispatch: Dict[str, ast.expr] = {}
-        self.cols: Tuple[str, ...] = ()
+        self.assigns: Dict[str, ast.expr] = {}
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                # The relation class derives the runtime's CompiledRelation.
-                bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
-                if "CompiledRelation" in bases or self.cls is None:
+                if any(isinstance(b, ast.Name) and b.id == "CompiledRelation" for b in node.bases):
                     self.cls = node
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    if target.id in ("_PLANS", "_VPLANS", "_VCOLS", "_RM"):
-                        self.dispatch[target.id] = node.value
-                    elif target.id == "_COLS":
-                        self.cols = _string_tuple(node.value)
+            elif (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                self.assigns[node.targets[0].id] = node.value
+        self.cols: Tuple[str, ...] = _string_tuple(self.assigns.get("_COLS")) or ()
         self.methods: Dict[str, ast.FunctionDef] = {}
         if self.cls is not None:
             for node in self.cls.body:
@@ -218,17 +233,20 @@ class _ModuleModel:
             total |= bit
         return total
 
+    def columns(self, mask: int) -> List[str]:
+        return sorted(c for c in self.cols if self.col_bit[c] & mask)
 
-def _string_tuple(node: ast.expr) -> Tuple[str, ...]:
-    if isinstance(node, ast.Tuple):
-        out = []
-        for elt in node.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                out.append(elt.value)
-            else:
-                return ()
-        return tuple(out)
-    return ()
+
+def _string_tuple(node: Optional[ast.expr]) -> Optional[Tuple[str, ...]]:
+    """The strings of a tuple literal of string constants (None otherwise)."""
+    if not isinstance(node, ast.Tuple):
+        return None
+    out = []
+    for elt in node.elts:
+        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
+            return None
+        out.append(elt.value)
+    return tuple(out)
 
 
 # -- expression classification --------------------------------------------------
@@ -242,6 +260,16 @@ def _self_attr(node: ast.expr) -> Optional[str]:
     ):
         return node.attr
     return None
+
+
+def _is_attr(node: ast.AST, owner: str, attr: str) -> bool:
+    """*node* is ``<owner>.<attr>``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.value, ast.Name)
+        and node.value.id == owner
+    )
 
 
 def _container_kind(node: ast.expr, env: Dict[str, int]) -> int:
@@ -274,69 +302,66 @@ def _value_kind(node: ast.expr, env: Dict[str, int]) -> int:
     return 0
 
 
+def _is_accesses_charge(node: ast.AST) -> bool:
+    """``_C.accesses += ...``."""
+    return isinstance(node, ast.AugAssign) and _is_attr(node.target, "_C", "accesses")
+
+
 def _is_charge_stmt(stmt: ast.stmt) -> bool:
-    """``if en: _C.accesses += ...`` (or ``if _C.enabled:`` spelled out)."""
-    if not isinstance(stmt, ast.If):
-        return False
-    test = stmt.test
-    named = isinstance(test, ast.Name) and test.id == "en"
-    spelled = (
-        isinstance(test, ast.Attribute)
-        and isinstance(test.value, ast.Name)
-        and test.value.id == "_C"
-        and test.attr == "enabled"
-    )
-    if not (named or spelled):
-        return False
-    for inner in stmt.body:
-        if isinstance(inner, ast.AugAssign):
-            target = inner.target
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "_C"
-                and target.attr == "accesses"
-            ):
-                return True
-    return False
-
-
-def _is_fault_guard(stmt: ast.stmt) -> bool:
-    """``if _fa:`` / ``if _F.active:`` wrapping a fault check."""
-    if not isinstance(stmt, ast.If):
-        return False
-    test = stmt.test
-    if isinstance(test, ast.Name) and test.id == "_fa":
-        return True
+    """``if en: _C.accesses += ...``."""
     return (
-        isinstance(test, ast.Attribute)
-        and isinstance(test.value, ast.Name)
-        and test.value.id == "_F"
-        and test.attr == "active"
+        isinstance(stmt, ast.If)
+        and isinstance(stmt.test, ast.Name)
+        and stmt.test.id == "en"
+        and any(_is_accesses_charge(inner) for inner in stmt.body)
     )
 
 
-def _is_journal_append(stmt: ast.stmt) -> bool:
-    if not isinstance(stmt, ast.Expr) or not isinstance(stmt.value, ast.Call):
+def _is_fault_guard(stmt: ast.AST) -> bool:
+    """``if _fa:`` (the injector's ``active`` flag, hoisted at method entry)."""
+    return isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name) and stmt.test.id == "_fa"
+
+
+def _is_append_to(node: ast.AST, journal: str) -> bool:
+    """``<journal>.append(...)``."""
+    return isinstance(node, ast.Call) and _is_attr(node.func, journal, "append")
+
+
+def _is_journal_stmt(stmt: ast.stmt) -> bool:
+    """``_j.append(...)`` or a journalling list-helper call."""
+    if not isinstance(stmt, ast.Expr):
         return False
-    func = stmt.value.func
-    return (
-        isinstance(func, ast.Attribute)
-        and func.attr == "append"
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "_j"
+    call = stmt.value
+    return _is_append_to(call, "_j") or (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in _JOURNALLING_HELPERS
     )
 
 
-def _calls_name(tree_node: ast.AST, fn_name: str) -> bool:
-    for node in ast.walk(tree_node):
-        if (
+def _fault_checks(tree: ast.AST) -> Iterator[Tuple[ast.Call, Optional[str]]]:
+    """Every ``_F.check(...)`` call under *tree*, with its site when the one
+    argument is a string literal (None otherwise)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_attr(node.func, "_F", "check"):
+            arg = node.args[0] if len(node.args) == 1 else None
+            literal = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            yield node, arg.value if literal else None
+
+
+def _is_rollback_handler(handler: ast.ExceptHandler) -> bool:
+    """``except BaseException:`` that replays ``_undo`` and re-raises."""
+    return (
+        isinstance(handler.type, ast.Name)
+        and handler.type.id == "BaseException"
+        and any(
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id == fn_name
-        ):
-            return True
-    return False
+            and node.func.id == "_undo"
+            for node in ast.walk(handler)
+        )
+        and any(isinstance(node, ast.Raise) for node in ast.walk(handler))
+    )
 
 
 # -- per-method verification ----------------------------------------------------
@@ -368,12 +393,11 @@ class _MethodChecker:
         #: Stack of (statement list, index, parent statement) frames for the
         #: backward charge scan; the outermost frame's parent is the method.
         self.frames: List[Tuple[List[ast.stmt], int, ast.stmt]] = []
-        self.try_depth = 0  # nesting inside rollback-scoped try bodies
 
-    def report(self, code: str, severity: str, message: str, node: ast.AST) -> None:
+    def report(self, code: str, message: str, node: ast.AST) -> None:
         line = getattr(node, "lineno", 0)
         self.diags.append(
-            Diagnostic(code, severity, message, Loc(self.model.name, self.fn.name, line))
+            Diagnostic(code, ERROR, message, Loc(self.model.name, self.fn.name, line))
         )
 
     def run(self) -> None:
@@ -387,30 +411,14 @@ class _MethodChecker:
         for node in ast.walk(self.fn):
             if _is_fault_guard(node):
                 for stmt in node.body:
-                    for sub in ast.walk(stmt):
-                        guarded.add(id(sub))
-        for node in ast.walk(self.fn):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    guarded.update(id(sub) for sub in ast.walk(stmt))
+        for node, site in _fault_checks(self.fn):
+            if site is None:
+                self.report("EA032", "fault check site is not a string literal", node)
                 continue
-            func = node.func
-            if not (
-                func.attr == "check"
-                and isinstance(func.value, ast.Name)
-                and func.value.id in ("_F", "FAULTS")
-            ):
-                continue
-            if len(node.args) != 1 or not (
-                isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
-            ):
-                self.report(
-                    "EA032", ERROR, "fault check site is not a string literal", node
-                )
-                continue
-            site = node.args[0].value
             if site not in self.registered_sites:
                 self.report(
                     "EA030",
-                    ERROR,
                     f"fault check names unregistered site {site!r} "
                     "(it would never arm; register it or fix the name)",
                     node,
@@ -418,9 +426,8 @@ class _MethodChecker:
             if id(node) not in guarded:
                 self.report(
                     "EA031",
-                    ERROR,
-                    f"fault check for {site!r} is not guarded by the injector's "
-                    "active flag (costs attribute dispatch on every operation)",
+                    f"fault check for {site!r} is not guarded by `if _fa:` "
+                    "(costs attribute dispatch on every operation)",
                     node,
                 )
 
@@ -440,26 +447,23 @@ class _MethodChecker:
         self._propagate(stmt)
         # Recurse into compound statements, in source order.
         if isinstance(stmt, ast.Try):
-            rollback = in_rollback or _try_has_rollback(stmt)
-            if self.is_mutator and not _try_has_rollback(stmt):
+            rollback = any(_is_rollback_handler(h) for h in stmt.handlers)
+            if self.is_mutator and not rollback:
                 # A mutator's try must roll back; flag its handlers.
                 for handler in stmt.handlers:
                     self.report(
                         "EA012",
-                        ERROR,
-                        "exception handler in a mutator neither replays the "
-                        "undo journal (_undo) nor re-raises",
+                        "exception handler in a mutator is not `except "
+                        "BaseException:` replaying the undo journal (_undo) "
+                        "and re-raising",
                         handler,
                     )
-            self._walk(stmt.body, stmt, rollback)
+            self._walk(stmt.body, stmt, in_rollback or rollback)
             for handler in stmt.handlers:
                 self._walk(handler.body, stmt, in_rollback)
             self._walk(stmt.orelse, stmt, in_rollback)
             self._walk(stmt.finalbody, stmt, in_rollback)
-        elif isinstance(stmt, (ast.If,)):
-            self._walk(stmt.body, stmt, in_rollback)
-            self._walk(stmt.orelse, stmt, in_rollback)
-        elif isinstance(stmt, (ast.For, ast.While)):
+        elif isinstance(stmt, (ast.If, ast.For, ast.While)):
             self._walk(stmt.body, stmt, in_rollback)
             self._walk(stmt.orelse, stmt, in_rollback)
         elif isinstance(stmt, ast.With):
@@ -513,7 +517,7 @@ class _MethodChecker:
 
     def _check_probes(self, stmt: ast.stmt) -> None:
         probes: List[Tuple[ast.AST, str]] = []
-        if isinstance(stmt, (ast.For,)):
+        if isinstance(stmt, ast.For):
             probes.extend(self._iter_probes(stmt.iter))
         else:
             for node in self._own_expressions(stmt):
@@ -522,7 +526,6 @@ class _MethodChecker:
             if not self._charge_dominates():
                 self.report(
                     "EA020",
-                    ERROR,
                     f"{what} is not dominated by an access charge "
                     "(if en: _C.accesses += ...)",
                     node,
@@ -575,15 +578,11 @@ class _MethodChecker:
         per-iteration probe.
         """
         for body, idx, parent in reversed(self.frames):
-            scan = idx - 1
-            while scan >= 0:
-                prev = body[scan]
+            for prev in reversed(body[:idx]):
                 if _is_charge_stmt(prev):
                     return True
-                if _is_fault_guard(prev) or isinstance(prev, _SKIPPABLE):
-                    scan -= 1
-                    continue
-                return False
+                if not (_is_fault_guard(prev) or isinstance(prev, _SKIPPABLE)):
+                    return False
             if isinstance(parent, (ast.For, ast.While, ast.FunctionDef)):
                 return False
         return False
@@ -598,27 +597,13 @@ class _MethodChecker:
         if not in_rollback:
             self.report(
                 "EA010",
-                ERROR,
                 f"{what} outside any try/rollback scope (an exception here "
                 "leaves the instance torn)",
                 node,
             )
-        if self_journalled:
-            return
-        journalled = any(
-            _is_journal_append(sibling)
-            or (
-                isinstance(sibling, ast.Expr)
-                and isinstance(sibling.value, ast.Call)
-                and isinstance(sibling.value.func, ast.Name)
-                and sibling.value.func.id in _JOURNALLING_HELPERS
-            )
-            for sibling in body
-        )
-        if not journalled:
+        if not self_journalled and not any(_is_journal_stmt(sibling) for sibling in body):
             self.report(
                 "EA011",
-                ERROR,
                 f"{what} with no journal entry (_j.append) in its statement "
                 "list — rollback cannot restore it",
                 node,
@@ -626,55 +611,31 @@ class _MethodChecker:
 
     def _mutation_event(self, stmt: ast.stmt) -> Optional[Tuple[ast.AST, str, bool]]:
         """(node, description, self-journalled) when *stmt* mutates tracked state."""
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
+        if isinstance(stmt, ast.AugAssign) or (
+            isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+        ):
+            store = isinstance(stmt, ast.Assign)
+            target = stmt.targets[0] if store else stmt.target
             if isinstance(target, ast.Subscript) and _container_kind(target.value, self.env):
-                return target, "container store", False
+                return target, "container store" if store else "container in-place update", False
             attr = _self_attr(target)
-            if attr is not None and attr not in _BOOKKEEPING_ATTRS and attr != "spec":
-                if attr == "_root" or _REGISTRY_ATTR_RE.match(attr):
-                    return target, f"assignment to self.{attr}", False
-        elif isinstance(stmt, ast.AugAssign):
-            if isinstance(stmt.target, ast.Subscript) and _container_kind(
-                stmt.target.value, self.env
-            ):
-                return stmt.target, "container in-place update", False
-            attr = _self_attr(stmt.target)
-            if attr is not None and attr not in _BOOKKEEPING_ATTRS:
-                if attr == "_root" or _REGISTRY_ATTR_RE.match(attr):
-                    return stmt.target, f"in-place update of self.{attr}", False
+            if attr == "_root" or (attr is not None and _REGISTRY_ATTR_RE.match(attr)):
+                what = "assignment to" if store else "in-place update of"
+                return target, f"{what} self.{attr}", False
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
-                if isinstance(target, ast.Subscript) and _container_kind(
-                    target.value, self.env
-                ):
+                if isinstance(target, ast.Subscript) and _container_kind(target.value, self.env):
                     return target, "container delete", False
         elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
             call = stmt.value
             if isinstance(call.func, ast.Attribute):
-                base_kind = _container_kind(call.func.value, self.env)
-                if base_kind and call.func.attr in _MUTATING_METHODS:
-                    return call, f"container .{call.func.attr}() mutation", False
+                attr = call.func.attr
+                if attr in _MUTATING_METHODS and _container_kind(call.func.value, self.env):
+                    return call, f"container .{attr}() mutation", False
             elif isinstance(call.func, ast.Name) and call.func.id in _JOURNALLING_HELPERS:
                 if call.args and _container_kind(call.args[0], self.env):
                     return call, f"list-helper {call.func.id}() mutation", True
         return None
-
-
-def _try_has_rollback(stmt: ast.Try) -> bool:
-    """A handler catching BaseException that replays ``_undo`` and re-raises."""
-    for handler in stmt.handlers:
-        htype = handler.type
-        catches_base = htype is None or (
-            isinstance(htype, ast.Name) and htype.id in ("BaseException", "Exception")
-        )
-        if not catches_base:
-            continue
-        has_undo = any(_calls_name(s, "_undo") for s in handler.body)
-        has_raise = any(isinstance(n, ast.Raise) for s in handler.body for n in ast.walk(s))
-        if has_undo and has_raise:
-            return True
-    return False
 
 
 # -- helper audit ---------------------------------------------------------------
@@ -685,15 +646,7 @@ def _check_helpers(model: _ModuleModel, runtime: ast.Module, diags: List[Diagnos
     helpers = {node.name: node for node in runtime.body if isinstance(node, ast.FunctionDef)}
     for helper_name in _LIST_HELPERS:
         fn = helpers.get(helper_name)
-        charges = fn is not None and any(
-            isinstance(node, ast.AugAssign)
-            and isinstance(node.target, ast.Attribute)
-            and isinstance(node.target.value, ast.Name)
-            and node.target.value.id == "_C"
-            and node.target.attr == "accesses"
-            for node in ast.walk(fn)
-        )
-        if not charges:
+        if fn is None or not any(_is_accesses_charge(node) for node in ast.walk(fn)):
             diags.append(
                 Diagnostic(
                     "EA021",
@@ -703,383 +656,225 @@ def _check_helpers(model: _ModuleModel, runtime: ast.Module, diags: List[Diagnos
                     Loc(model.name, helper_name, getattr(fn, "lineno", 0)),
                 )
             )
-        if fn is None:
-            continue
-        if helper_name in _JOURNALLING_HELPERS:
-            journals = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "append"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "j"
-                for node in ast.walk(fn)
-            )
-            if not journals:
-                diags.append(
-                    Diagnostic(
-                        "EA011",
-                        ERROR,
-                        f"journal-aware list helper {helper_name}() never appends "
-                        "to its journal argument",
-                        Loc(model.name, helper_name, fn.lineno),
-                    )
+        if (
+            fn is not None
+            and helper_name in _JOURNALLING_HELPERS
+            and not any(_is_append_to(node, "j") for node in ast.walk(fn))
+        ):
+            diags.append(
+                Diagnostic(
+                    "EA011",
+                    ERROR,
+                    f"journal-aware list helper {helper_name}() never appends "
+                    "to its journal argument",
+                    Loc(model.name, helper_name, fn.lineno),
                 )
+            )
 
 
 # -- attribute discipline -------------------------------------------------------
 
 
+def _self_writes(fn: ast.FunctionDef) -> Iterator[Tuple[str, ast.stmt]]:
+    """(attribute, statement) for every ``self.<attr> =`` / ``+=`` in *fn*."""
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                attr = _self_attr(target)
+                if attr is not None:
+                    yield attr, node
+
+
 def _check_attributes(model: _ModuleModel, diags: List[Diagnostic]) -> None:
-    cls = model.cls
-    assert cls is not None
-    declared: Set[str] = set()
-    slots_declared = False
-    for node in cls.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id == "__slots__":
-                slots_declared = True
-                declared.update(_string_tuple(node.value))
+    """EA050: the attribute set is the one ``__init__`` declares (no emitted
+    class has ``__slots__``)."""
     init = model.methods.get("__init__")
-    if init is not None and not slots_declared:
-        for node in ast.walk(init):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for t in targets:
-                    attr = _self_attr(t)
-                    if attr is not None:
-                        declared.add(attr)
+    declared = {attr for attr, _ in _self_writes(init)} if init is not None else set()
     if not declared:
         return
     for method in model.methods.values():
-        if method.name == "__init__" and not slots_declared:
+        if method is init:
             continue
-        for node in ast.walk(method):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for t in targets:
-                    attr = _self_attr(t)
-                    if attr is not None and attr not in declared:
-                        diags.append(
-                            Diagnostic(
-                                "EA050",
-                                ERROR,
-                                f"attribute self.{attr} written outside the "
-                                "declared attribute set "
-                                f"({'__slots__' if slots_declared else '__init__'})",
-                                Loc(model.name, method.name, node.lineno),
-                            )
-                        )
+        for attr, node in _self_writes(method):
+            if attr not in declared:
+                diags.append(
+                    Diagnostic(
+                        "EA050",
+                        ERROR,
+                        f"attribute self.{attr} written outside the declared "
+                        "attribute set (__init__)",
+                        Loc(model.name, method.name, node.lineno),
+                    )
+                )
 
 
 # -- dispatch completeness ------------------------------------------------------
 
 
-def _expected_masks(model: _ModuleModel, meta, spec, decomposition) -> Optional[Set[int]]:
+def _expected_masks(model: _ModuleModel, spec, decomposition) -> Optional[Set[int]]:
     """The adequate bound-pattern masks this layout must dispatch over.
 
-    Recomputed independently of the compiler when the spec/decomposition are
-    available (mirroring the enumeration contract: the full power set up to
-    ``MAX_ENUMERATED_COLUMNS`` columns, essential subsets beyond); falls
-    back to the compiler's own ``meta['masks']`` record otherwise.
+    Recomputed independently of the compiler from *spec* and
+    *decomposition*, mirroring the enumeration contract: the full power set
+    up to ``MAX_ENUMERATED_COLUMNS`` columns, essential subsets beyond.
+    None (completeness unchecked) without both, or without ``_COLS``.
     """
     cols = model.cols
-    if spec is not None and decomposition is not None and cols:
-        from ..codegen import MAX_ENUMERATED_COLUMNS
+    if spec is None or decomposition is None or not cols:
+        return None
+    from ..codegen import MAX_ENUMERATED_COLUMNS
 
-        if len(cols) <= MAX_ENUMERATED_COLUMNS:
-            return set(range(2 ** len(cols)))
-        subsets = {frozenset(), frozenset(cols)}
-        for fd in spec.fds:
-            subsets.add(frozenset(fd.lhs))
-        for path in decomposition.paths():
-            bound: Set[str] = set()
-            for e in path.edges:
-                bound |= e.key
-                subsets.add(frozenset(bound))
-        masks = {model.mask(s) for s in subsets}
-        return None if None in masks else {m for m in masks if m is not None}
-    if meta and isinstance(meta.get("masks"), list):
-        return set(meta["masks"])
-    if cols:
-        # Every benchmark schema enumerates fully; without meta this is the
-        # contract for narrow schemas.
-        from ..codegen import MAX_ENUMERATED_COLUMNS
-
-        if len(cols) <= MAX_ENUMERATED_COLUMNS:
-            return set(range(2 ** len(cols)))
-    return None
+    if len(cols) <= MAX_ENUMERATED_COLUMNS:
+        return set(range(2 ** len(cols)))
+    subsets = {frozenset(), frozenset(cols)}
+    subsets.update(frozenset(fd.lhs) for fd in spec.fds)
+    for path in decomposition.paths():
+        bound: Set[str] = set()
+        for e in path.edges:
+            bound |= e.key
+            subsets.add(frozenset(bound))
+    masks = {model.mask(s) for s in subsets}
+    return None if None in masks else masks
 
 
-def _dict_literal(node: ast.expr) -> Optional[List[Tuple[ast.expr, ast.expr]]]:
-    if isinstance(node, ast.Dict):
-        return [(k, v) for k, v in zip(node.keys, node.values) if k is not None]
-    return None
-
-
-def _frozenset_key(node: ast.expr) -> Optional[FrozenSet[str]]:
+def _key_mask(node: ast.expr, model: _ModuleModel, int_keys: bool) -> Optional[Tuple[int, str]]:
+    """(mask, label) of a dispatch-table key — an int mask literal when
+    *int_keys*, else ``frozenset((...))`` over ``_COLS`` columns; None when
+    the key is neither."""
+    if int_keys:
+        if isinstance(node, ast.Constant) and isinstance(node.value, int):
+            return node.value, str(node.value)
+        return None
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "frozenset"
+        and len(node.args) <= 1
     ):
-        if not node.args:
-            return frozenset()
-        if len(node.args) == 1:
-            elems = _string_tuple(node.args[0])
-            if elems or (
-                isinstance(node.args[0], ast.Tuple) and not node.args[0].elts
-            ):
-                return frozenset(elems)
-    return None
-
-
-def _method_ref(node: ast.expr, class_name: str) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == class_name
-    ):
-        return node.attr
+        cols = _string_tuple(node.args[0]) if node.args else ()
+        mask = None if cols is None else model.mask(cols)
+        if mask is not None:
+            return mask, str(sorted(cols))
     return None
 
 
 def _check_dispatch(
-    model: _ModuleModel,
-    diags: List[Diagnostic],
-    meta,
-    spec,
-    decomposition,
-) -> None:
-    name = model.name
-    cls = model.cls
-    assert cls is not None
-    expected = _expected_masks(model, meta, spec, decomposition)
+    model: _ModuleModel, diags: List[Diagnostic], expected: Optional[Set[int]]
+) -> Optional[Set[int]]:
+    """EA040–044 over ``_TABLES`` and ``_VCOLS``; returns ``_RM``'s masks
+    (None when the module has no ``_RM``) for the meta cross-check."""
+    cls_name = model.cls.name
     referenced: Set[str] = set()
+    rm_masks: Optional[Set[int]] = None
 
-    def err(code: str, message: str, node: Optional[ast.AST] = None, table: str = "") -> None:
+    def err(code: str, table: str, message: str, node: Optional[ast.AST] = None) -> None:
         diags.append(
-            Diagnostic(
-                code, ERROR, message, Loc(name, table, getattr(node, "lineno", 0) or 0)
-            )
+            Diagnostic(code, ERROR, message, Loc(model.name, table, getattr(node, "lineno", 0)))
         )
 
-    # _VPLANS: int mask -> Class._qv_<mask>
-    vplans = _dict_literal(model.dispatch.get("_VPLANS", ast.Constant(value=None)))
-    if vplans is None:
-        err("EA001", "_VPLANS dispatch table missing or not a dict literal", table="_VPLANS")
-    else:
-        seen_masks: Set[int] = set()
-        for key, value in vplans:
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, int)):
-                err("EA041", "non-integer _VPLANS key", key, "_VPLANS")
+    for table, prefix, code, complete, int_keys in _TABLES:
+        node = model.assigns.get(table)
+        if node is None and not complete:
+            continue
+        if not isinstance(node, ast.Dict):
+            err("EA001", table, f"{table} dispatch table missing or not a dict literal")
+            continue
+        seen: Set[int] = set()
+        for key, value in zip(node.keys, node.values):
+            if key is None:  # ``**mapping`` unpacking
                 continue
-            mask = key.value
-            seen_masks.add(mask)
-            method = _method_ref(value, cls.name)
-            if method is None or method not in model.methods:
-                err(
-                    "EA041",
-                    f"_VPLANS[{mask}] does not reference a defined method",
-                    value,
-                    "_VPLANS",
-                )
+            parsed = _key_mask(key, model, int_keys)
+            if parsed is None:
+                err(code, table, f"malformed {table} key", key)
+                continue
+            mask, label = parsed
+            seen.add(mask)
+            entry = f"{table}[{label}]"
+            if expected is not None and mask not in expected:
+                dead = f"{entry} is a dead entry: no adequate bound-pattern has that mask"
+                err(code, table, dead, key)
+            method = (
+                value.attr
+                if isinstance(value, ast.Attribute)
+                and isinstance(value.value, ast.Name)
+                and value.value.id == cls_name
+                else None
+            )
+            if method not in model.methods:
+                err(code, table, f"{entry} does not reference a defined method", value)
                 continue
             referenced.add(method)
-            if method != f"_qv_{mask}":
-                err(
-                    "EA041",
-                    f"_VPLANS[{mask}] dispatches to {method} (mask mismatch)",
-                    value,
-                    "_VPLANS",
-                )
-            if expected is not None and mask not in expected:
-                err(
-                    "EA041",
-                    f"_VPLANS[{mask}] is a dead entry: no adequate bound-pattern "
-                    "has that mask",
-                    key,
-                    "_VPLANS",
-                )
-        if expected is not None:
-            for missing in sorted(expected - seen_masks):
+            if method != f"{prefix}{mask}":
+                err(code, table, f"{entry} dispatches to {method} (mask mismatch)", value)
+        if complete and expected is not None:
+            for mask in sorted(expected - seen):
                 err(
                     "EA040",
-                    f"_VPLANS is missing adequate bound-pattern mask {missing} "
-                    f"(columns {sorted(c for c in model.cols if model.col_bit[c] & missing)})",
-                    table="_VPLANS",
+                    table,
+                    f"{table} is missing adequate bound-pattern "
+                    f"{model.columns(mask)} (mask {mask})",
                 )
+        if table == "_RM":
+            rm_masks = seen
 
-    # _PLANS: frozenset key -> Class._q_<mask>
-    plans = _dict_literal(model.dispatch.get("_PLANS", ast.Constant(value=None)))
-    if plans is None:
-        err("EA001", "_PLANS dispatch table missing or not a dict literal", table="_PLANS")
-    else:
-        seen_sets: Set[FrozenSet[str]] = set()
-        for key, value in plans:
-            cols = _frozenset_key(key)
-            if cols is None:
-                err("EA041", "non-frozenset _PLANS key", key, "_PLANS")
-                continue
-            seen_sets.add(cols)
-            mask = model.mask(cols)
-            method = _method_ref(value, cls.name)
-            if method is None or method not in model.methods:
-                err(
-                    "EA041",
-                    f"_PLANS[{sorted(cols)}] does not reference a defined method",
-                    value,
-                    "_PLANS",
-                )
-                continue
-            referenced.add(method)
-            if mask is None or (expected is not None and mask not in expected):
-                err(
-                    "EA041",
-                    f"_PLANS[{sorted(cols)}] is a dead entry: not an adequate "
-                    "bound-pattern of this layout",
-                    key,
-                    "_PLANS",
-                )
-        if expected is not None and model.cols:
-            for mask in sorted(expected):
-                cols = frozenset(c for c in model.cols if model.col_bit[c] & mask)
-                if cols not in seen_sets:
-                    err(
-                        "EA040",
-                        f"_PLANS is missing adequate bound-pattern {sorted(cols)}",
-                        table="_PLANS",
-                    )
-
-    # _VCOLS: must start empty (a memo filled at run time).
-    vcols = model.dispatch.get("_VCOLS")
+    vcols = model.assigns.get("_VCOLS")
     if vcols is None:
-        err("EA001", "_VCOLS memo missing", table="_VCOLS")
+        err("EA001", "_VCOLS", "_VCOLS memo missing")
     elif not (isinstance(vcols, ast.Dict) and not vcols.keys):
         err(
             "EA042",
+            "_VCOLS",
             "_VCOLS must be initialised empty (it memoises pattern shapes at "
             "run time; seeded entries would bypass dispatch validation)",
             vcols,
-            "_VCOLS",
         )
 
-    # _RM: optional; keys must be adequate patterns with matching handlers.
-    rm = model.dispatch.get("_RM")
-    if rm is not None:
-        rm_entries = _dict_literal(rm)
-        if rm_entries is None:
-            err("EA001", "_RM dispatch table is not a dict literal", table="_RM")
-            rm_entries = []
-        rm_masks: Set[int] = set()
-        for key, value in rm_entries:
-            cols = _frozenset_key(key)
-            mask = model.mask(cols) if cols is not None else None
-            if cols is None or mask is None:
-                err("EA043", "invalid _RM key", key, "_RM")
-                continue
-            rm_masks.add(mask)
-            if expected is not None and mask not in expected:
-                err(
-                    "EA043",
-                    f"_RM[{sorted(cols)}] is not an adequate bound-pattern",
-                    key,
-                    "_RM",
-                )
-            method = _method_ref(value, cls.name)
-            if method is None or method not in model.methods:
-                err(
-                    "EA043",
-                    f"_RM[{sorted(cols)}] does not reference a defined method",
-                    value,
-                    "_RM",
-                )
-                continue
-            referenced.add(method)
-            if method != f"_rm_{mask}":
-                err(
-                    "EA043",
-                    f"_RM[{sorted(cols)}] dispatches to {method} (mask mismatch)",
-                    value,
-                    "_RM",
-                )
-        if meta and isinstance(meta.get("batch_masks"), list):
-            if rm_masks != set(meta["batch_masks"]):
-                diags.append(
-                    Diagnostic(
-                        "EA045",
-                        WARNING,
-                        f"_RM masks {sorted(rm_masks)} disagree with "
-                        f"__repro_meta__ batch_masks {sorted(meta['batch_masks'])}",
-                        Loc(name, "_RM"),
-                    )
-                )
-
-    # Dead specialised methods: emitted but unreachable from any table.
-    for method_name in model.methods:
-        if re.match(r"^(_qv_\d+|_q_\d+|_rm_\d+)$", method_name) and method_name not in referenced:
+    for method_name, fn in model.methods.items():
+        if _SPECIALISED_RE.match(method_name) and method_name not in referenced:
             diags.append(
                 Diagnostic(
                     "EA044",
                     ERROR,
                     f"specialised method {method_name} is unreachable from any "
                     "dispatch table (dead emitted code)",
-                    Loc(name, method_name, model.methods[method_name].lineno),
+                    Loc(model.name, method_name, fn.lineno),
                 )
             )
+    return rm_masks
 
 
 # -- meta cross-check -----------------------------------------------------------
 
 
-def _check_meta(model: _ModuleModel, diags: List[Diagnostic], meta) -> None:
-    if not meta:
-        return
+def _check_meta(
+    model: _ModuleModel,
+    diags: List[Diagnostic],
+    meta: Dict[str, object],
+    rm_masks: Optional[Set[int]],
+) -> None:
+    """EA045: each field of ``__repro_meta__`` the source also states."""
     cls = model.cls
-    assert cls is not None
-    if meta.get("class_name") not in (None, cls.name):
-        diags.append(
-            Diagnostic(
-                "EA045",
-                WARNING,
-                f"emitted class {cls.name} disagrees with __repro_meta__ "
-                f"class_name {meta.get('class_name')!r}",
-                Loc(model.name, cls.name),
-            )
-        )
-    meta_cols = meta.get("columns")
-    if isinstance(meta_cols, list) and model.cols and list(model.cols) != meta_cols:
-        diags.append(
-            Diagnostic(
-                "EA045",
-                WARNING,
-                f"emitted _COLS {list(model.cols)} disagree with __repro_meta__ "
-                f"columns {meta_cols}",
-                Loc(model.name, "_COLS"),
-            )
-        )
-    meta_sites = meta.get("fault_sites")
-    if isinstance(meta_sites, list):
-        emitted_sites: Set[str] = set()
-        for node in ast.walk(cls):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "check"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("_F", "FAULTS")
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                emitted_sites.add(node.args[0].value)
-        if emitted_sites != set(meta_sites):
+    sites = {site for _, site in _fault_checks(cls) if site is not None}
+    rows = (
+        # meta field, what the source states (None: nothing to compare), scope
+        ("class_name", cls.name, cls.name),
+        ("columns", list(model.cols) or None, "_COLS"),
+        ("fault_sites", sites, cls.name),
+        ("batch_masks", rm_masks, "_RM"),
+    )
+    for field, emitted, scope in rows:
+        recorded = meta.get(field)
+        if emitted is None or recorded is None:
+            continue
+        # Compare as the source side's type: sets ignore the record's order.
+        if emitted != type(emitted)(recorded):
+            shown = sorted(emitted) if isinstance(emitted, set) else emitted
             diags.append(
                 Diagnostic(
                     "EA045",
                     WARNING,
-                    f"emitted fault sites {sorted(emitted_sites)} disagree with "
-                    f"__repro_meta__ fault_sites {sorted(meta_sites)}",
-                    Loc(model.name, cls.name),
+                    f"emitted {field} {shown} disagree with __repro_meta__ {field} {recorded}",
+                    Loc(model.name, scope),
                 )
             )

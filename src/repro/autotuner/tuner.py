@@ -247,41 +247,42 @@ def autotune(
                     spec=spec,
                 )
 
+    # Every included layout outside the enumerated set is scored and ranked
+    # with the rest, so tie-breaks are computed and the ranking sorted once.
     candidates = [score(d) for d in enumerated]
+    by_shape = {canonical_shape(c.decomposition): c for c in candidates}
+    enumerated_ids = {id(c) for c in candidates}
+    included = []
+    for extra in _coerce_include(spec, include):
+        shape = canonical_shape(extra)
+        if shape not in by_shape:
+            by_shape[shape] = score(extra)
+            candidates.append(by_shape[shape])
+        included.append((shape, by_shape[shape]))
     apply_tiebreaks(candidates)
     candidates.sort(key=rank)
 
-    # Static pruning: the top of the static ranking advances — diversified
-    # so at most MAX_PER_SKELETON same-shape container flavours occupy beam
-    # slots — plus every explicitly included layout (deduplicated against
-    # the enumerated set).
+    # Static pruning: the top of the enumerated ranking advances —
+    # diversified so at most MAX_PER_SKELETON same-shape container flavours
+    # occupy beam slots — plus every included layout (deduplicated).
     exact_top = max(1, exact_top)
     advancing: List[ScoredCandidate] = []
     skeleton_counts: dict = {}
     for candidate in candidates:
         if len(advancing) >= exact_top:
             break
+        if id(candidate) not in enumerated_ids:
+            continue
         skeleton = shape_skeleton(candidate.decomposition)
         if skeleton_counts.get(skeleton, 0) >= MAX_PER_SKELETON:
             continue
         skeleton_counts[skeleton] = skeleton_counts.get(skeleton, 0) + 1
         advancing.append(candidate)
     known_shapes = {canonical_shape(c.decomposition) for c in advancing}
-    by_shape = {canonical_shape(c.decomposition): c for c in candidates}
-    for extra in _coerce_include(spec, include):
-        shape = canonical_shape(extra)
-        if shape in known_shapes:
-            continue
-        known_shapes.add(shape)
-        candidate = by_shape.get(shape)
-        if candidate is None:
-            candidate = score(extra)
-            candidates.append(candidate)
-        advancing.append(candidate)
-
-    # Included layouts were appended above; keep the candidate ranking sorted.
-    apply_tiebreaks(candidates)
-    candidates.sort(key=rank)
+    for shape, candidate in included:
+        if shape not in known_shapes:
+            known_shapes.add(shape)
+            advancing.append(candidate)
 
     for candidate in advancing:
         candidate.accesses = exact_accesses(

@@ -852,12 +852,8 @@ class _RelationCompiler:
         self.meta = {
             "class_name": self.class_name,
             "columns": list(self.cols),
-            "layout": self.decomposition.describe(),
             "masks": [p.mask for p in self.patterns],
             "batch_masks": [p.mask for p in self.patterns if p.batch],
-            "has_range": self.has_range,
-            "resid_safe": sorted(self.resid_safe),
-            "shared_nodes": len(self.shared_nodes),
             "fault_sites": sorted(em.fault_sites),
             "queries": {
                 p.mask: {

@@ -23,6 +23,13 @@ _MISS = object()
 _ig0 = _itemgetter(0)
 _ig1 = _itemgetter(1)
 
+#: Entries an interning memo (a relation's value->Tuple ``_t_cache``, or one
+#: output projection's memo) may hold before a fill clears it.  The memos map
+#: values to Tuples, so clearing one costs re-creation, never correctness;
+#: bounding them keeps churn (insert, read, remove) from growing a relation
+#: whose contents do not grow.
+INTERN_BOUND = 131072
+
 # Undo-journal entry kinds.  Mutators append ``(kind, ...)`` tuples while
 # they work; ``_undo`` replays them newest-first on the exception path.
 J_SET = 0  # (J_SET, dict, key, old value or _MISS): restore the entry
@@ -223,7 +230,7 @@ def bind_query_boundary(cls, cols, spec, plans, vplans, vcols):
             tc = self._t_cache
             res = list(map(tc.get, rows))
             if None in res:
-                if len(tc) > 131072:
+                if len(tc) >= INTERN_BOUND:
                     tc.clear()
                 mk = Tuple.from_sorted_items
                 for i, t in enumerate(res):
@@ -254,6 +261,8 @@ def bind_query_boundary(cls, cols, spec, plans, vplans, vcols):
             except TypeError:
                 pass
         out_cols, idxs, getter, interned = cached
+        if len(interned) >= INTERN_BOUND:
+            interned.clear()
         if getter is not None:
             seen = set(map(getter, rows))
         else:
@@ -308,6 +317,8 @@ def bind_query_boundary(cls, cols, spec, plans, vplans, vcols):
 def intern_rows(tc, cols, rows):
     """Full-row Tuples for value tuples *rows* over *cols*, in order,
     interned through the relation's value->Tuple memo *tc*."""
+    if len(tc) >= INTERN_BOUND:
+        tc.clear()
     mk = Tuple.from_sorted_items
     res = []
     ap = res.append

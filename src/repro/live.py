@@ -131,10 +131,13 @@ _STAGE_ERRORS = {
 
 
 def _op_key(op: Operation) -> PyTuple:
-    """The mix-histogram key of one operation: kind + bound pattern columns."""
+    """The mix-histogram key of one operation: kind + bound pattern columns
+    (a range read's one column)."""
     kind = op[0]
     if kind == "insert":
         return ("insert",)
+    if kind == "range":
+        return ("range", op[1])
     return (kind, op[1].columns if isinstance(op[1], Tuple) else frozenset())
 
 
@@ -627,6 +630,11 @@ class LiveRelation(RelationInterface):
         self._observe(("query", pattern, output))
         return results
 
+    def query_range(self, column: str, lo=None, hi=None) -> List[Tuple]:
+        results = self._backing.query_range(column, lo, hi)
+        self._observe(("range", column, lo, hi))
+        return results
+
     def _observe(self, op: Operation) -> None:
         """Mirror one completed mutation into an open dual-write window,
         sample the operation, then advance the control loop.
@@ -636,7 +644,7 @@ class LiveRelation(RelationInterface):
         attempt in flight is recorded rather than surfaced through an
         unrelated ``insert``.
         """
-        if self._attempt is not None and op[0] != "query":
+        if self._attempt is not None and op[0] not in ("query", "range"):
             self._advance(self._attempt, write=op)
         self._ops_since_tune += 1
         self.sampler.observe(op)

@@ -1,8 +1,16 @@
 """Shared fixtures: the paper's process-scheduler specification."""
 
+import os
+
 import pytest
 
 from repro.core import RelationSpec
+
+
+def pytest_report_header(config):
+    # Some counted-access decisions depend on str hashing; the seed in the
+    # header makes a red run replayable.
+    return f"PYTHONHASHSEED={os.environ.get('PYTHONHASHSEED', 'unset (random per run)')}"
 
 
 @pytest.fixture

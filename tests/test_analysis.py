@@ -13,6 +13,7 @@ import gc
 import inspect
 import json
 import linecache
+import re
 
 import pytest
 
@@ -42,14 +43,41 @@ from repro.decomposition.parser import parse_decomposition
 SCHED_LAYOUT = "ns -> htable pid -> htable {state, cpu}"
 
 
-@pytest.fixture(scope="module")
-def sched():
-    """Spec, parsed layout, emitted source and meta for the running example."""
+@functools.lru_cache(maxsize=None)
+def _sched_artifacts():
     spec = RelationSpec(
         "ns, pid, state, cpu", fds=["ns, pid -> state, cpu"], name="process"
     )
     source, meta = generate_source_and_meta(spec, SCHED_LAYOUT)
     return spec, parse_decomposition(SCHED_LAYOUT), source, meta
+
+
+@pytest.fixture(scope="module")
+def sched():
+    """Spec, parsed layout, emitted source and meta for the running example."""
+    return _sched_artifacts()
+
+
+_MUTATOR_DEF = re.compile(
+    r"    def (insert|_insert_row|remove|_remove_row|update|_update_in_place|_rm_\d+)\("
+)
+
+
+def _mutator_sites(is_site, xfail=()):
+    """One ``(method, line index)`` param per line of the scheduler layout's
+    mutators whose stripped text *is_site* accepts, id'd ``method-ordinal``;
+    ids in *xfail* are marked as strict expected failures."""
+    params, method, ordinal = [], None, {}
+    for i, line in enumerate(_sched_artifacts()[2].splitlines()):
+        if line.startswith("    def "):
+            match = _MUTATOR_DEF.match(line)
+            method = match.group(1) if match else None
+        elif method is not None and is_site(line.strip()):
+            ordinal[method] = ordinal.get(method, -1) + 1
+            pid = f"{method}-{ordinal[method]}"
+            marks = [pytest.mark.xfail(strict=True, reason=xfail[pid])] if pid in xfail else []
+            params.append(pytest.param(method, i, id=pid, marks=marks))
+    return params
 
 
 def _codes(diags):
@@ -76,6 +104,12 @@ def _drop_line(source, needle, after=""):
         start = next(i for i, ln in enumerate(lines) if after in ln)
     idx = next(i for i in range(start, len(lines)) if needle in lines[i])
     del lines[idx]
+    return "".join(lines)
+
+
+def _drop_index(source, index):
+    lines = source.splitlines(True)
+    del lines[index]
     return "".join(lines)
 
 
@@ -275,13 +309,30 @@ class TestVerifierPositive:
 # -- emitted-code verifier: seeded corruption -----------------------------------
 
 
+#: Charges whose removal EA020 misses: each sits first in an ``if`` body
+#: below the charge of the enclosing probe, and the backward scan hops out of
+#: ``if`` bodies, so that outer charge still dominates the nested probe.
+_NESTED_RECHARGES = dict.fromkeys(
+    ("_insert_row-1", "_remove_row-1", "_update_in_place-1"),
+    "an enclosing charge still dominates the probe: EA020 does not pair "
+    "each probe with its own charge",
+)
+
+
 class TestVerifierNegative:
-    def test_ea011_dropped_journal_append(self, sched):
-        source = sched[2]
-        bad = _drop_line(source, "_j.append((0, c5", after="def _insert_row")
-        diags = _verify(sched, bad)
+    # J_COUNT entries journal the row count, bookkeeping outside EA011.
+    @pytest.mark.parametrize(
+        "method, line",
+        _mutator_sites(
+            lambda s: s.startswith("_j.append(")
+            and not s.startswith(f"_j.append(({runtime.J_COUNT}, ")
+        ),
+    )
+    def test_ea011_dropped_journal_append(self, sched, method, line):
+        diags = _verify(sched, _drop_index(sched[2], line))
         assert "EA011" in _codes(diags)
         assert has_errors(diags)
+        assert any(d.code == "EA011" and d.loc.scope == method for d in diags)
 
     def test_ea010_mutation_outside_rollback_scope(self, sched):
         source = sched[2]
@@ -314,17 +365,15 @@ class TestVerifierNegative:
         assert any(d.code == "EA021" and "_l_get" in d.message for d in diags)
         assert "EA021" not in _codes(_verify(sched, sched[2]))
 
-    def test_ea020_uncharged_probe(self, sched):
-        source = sched[2]
-        bad = _drop_line(
-            source, "if en: _C.accesses += 1", after="def _insert_row"
-        )
-        diags = _verify(sched, bad)
+    @pytest.mark.parametrize(
+        "method, line",
+        _mutator_sites(lambda s: s.startswith("if en: _C.accesses"), _NESTED_RECHARGES),
+    )
+    def test_ea020_uncharged_probe(self, sched, method, line):
+        diags = _verify(sched, _drop_index(sched[2], line))
         assert "EA020" in _codes(diags)
         # The finding names the probing method.
-        assert any(
-            d.code == "EA020" and d.loc.scope == "_insert_row" for d in diags
-        )
+        assert any(d.code == "EA020" and d.loc.scope == method for d in diags)
 
     def test_ea030_unregistered_fault_site(self, sched):
         source = sched[2]
@@ -333,17 +382,32 @@ class TestVerifierNegative:
         )
         assert "EA030" in _codes(_verify(sched, bad))
 
-    def test_ea031_fault_check_outside_guard(self, sched):
-        source = sched[2]
-        guarded = (
-            "            if _fa:\n"
-            "                _F.check('codegen.insert.store')\n"
-        )
-        assert guarded in source
-        bad = source.replace(
-            guarded, "            _F.check('codegen.insert.store')\n"
-        )
-        assert "EA031" in _codes(_verify(sched, bad))
+    @pytest.mark.parametrize("method, line", _mutator_sites(lambda s: s == "if _fa:"))
+    def test_ea031_fault_check_outside_guard(self, sched, method, line):
+        lines = sched[2].splitlines(True)
+        check = lines.pop(line + 1)
+        assert check.strip().startswith("_F.check(")
+        lines[line] = check.replace("    ", "", 1)  # unguard: replace the if
+        diags = _verify(sched, "".join(lines))
+        assert "EA031" in _codes(diags)
+        assert any(d.code == "EA031" and d.loc.scope == method for d in diags)
+
+    @pytest.mark.parametrize(
+        "emitted, respelled, code",
+        [
+            ("except BaseException:", "except Exception:", "EA012"),
+            ("if _fa:", "if _F.active:", "EA031"),
+            ("if en: _C.accesses", "if _C.enabled: _C.accesses", "EA020"),
+        ],
+        ids=["except-Exception", "if-F.active", "if-C.enabled"],
+    )
+    def test_only_the_emitted_spelling_verifies(self, sched, emitted, respelled, code):
+        """Each discipline is checked in the one spelling the compiler
+        emits; any other is a finding.  ``except Exception`` is a real hole:
+        a KeyboardInterrupt mid-mutation would skip the undo replay."""
+        bad = sched[2].replace(emitted, respelled, 1)
+        assert bad != sched[2]
+        assert code in _codes(_verify(sched, bad))
 
     def test_ea032_non_literal_fault_site(self, sched):
         source = sched[2]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.codegen import MAX_ENUMERATED_COLUMNS, compile_relation, generate_source
+from repro.codegen import MAX_ENUMERATED_COLUMNS, compile_relation, generate_source, runtime
 from repro.core import ReferenceRelation, RelationInterface, RelationSpec, t
 from repro.core.errors import (
     AdequacyError,
@@ -231,6 +231,39 @@ class TestSchemaShapes:
         pattern = {"c3": 1, "c5": 3}
         assert set(rel.query(pattern)) == set(reference.query(pattern))
         assert set(rel.query(pattern, "c0, c1")) == set(reference.query(pattern, "c0, c1"))
+
+
+class TestBoundedInternMemos:
+    """Churn (insert, read, remove) keeps every interning memo within
+    ``runtime.INTERN_BOUND``: full-row reads, projected reads and range
+    reads each fill one."""
+
+    BOUND = 64
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(runtime, "INTERN_BOUND", self.BOUND)
+
+    def test_point_and_projected_reads(self, scheduler_spec):
+        rel = compile_relation(scheduler_spec, "ns, pid -> htable {state, cpu}")()
+        for i in range(5 * self.BOUND):
+            row = t(ns=0, pid=1, state="run", cpu=i)
+            rel.insert(row)
+            assert rel.query({"ns": 0, "pid": 1}) == [row]
+            assert rel.query({"ns": 0, "pid": 1}, "cpu") == [t(cpu=i)]
+            rel.remove({"ns": 0, "pid": 1})
+        assert len(rel._t_cache) <= self.BOUND
+        assert max(len(entry[3]) for entry in rel._proj_cache.values()) <= self.BOUND
+
+    def test_range_reads(self):
+        spec = RelationSpec("ts, id, v", fds=["id -> ts, v"], name="event")
+        rel = compile_relation(spec, "ts -> avl id -> htable {v}")()
+        for i in range(5 * self.BOUND):
+            row = t(ts=i % 5, id=i, v=i)
+            rel.insert(row)
+            assert rel.query_range("ts", 0, 5) == [row]
+            rel.remove({"id": i})
+        assert len(rel._t_cache) <= self.BOUND
 
 
 def test_three_layouts_roundtrip(scheduler_spec):

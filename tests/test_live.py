@@ -37,6 +37,7 @@ from repro.core.errors import FunctionalDependencyError, LiveRelationError
 from repro.core.tuples import Tuple
 from repro.decomposition import DecomposedRelation
 from repro.live import default_layout
+from repro.structures.base import COUNTER
 
 EDGE_SPEC = RelationSpec("src, dst, weight", fds=["src, dst -> weight"], name="edge")
 FORWARD_LAYOUT = "src -> htable (dst -> htable {weight})"
@@ -255,6 +256,9 @@ class TestRetune:
             apply_op(live, op)
             apply_op(mirror, op)
             assert live.to_relation() == mirror.to_relation()
+        # A range read mid-window is served by the old backing, not mirrored.
+        assert live.live_stats()["migration_open"]
+        assert live.query_range("weight", 0, 500) == mirror.query_range("weight", 0, 500)
         live.finish_migration()
         assert report.swapped
         assert report.dual_write
@@ -324,6 +328,33 @@ class TestRetune:
 
 
 # -- the facade contract -----------------------------------------------------------
+
+
+def test_range_reads_reach_the_backing_and_are_sampled_as_ranges():
+    spec = RelationSpec("ts, id, v", fds=["id -> ts, v"], name="event")
+    layout = "ts -> avl id -> htable {v}"
+    # A reservoir as large as the stream keeps every operation.
+    live = open_relation(
+        spec, layout, live=True, policy={"auto": False},
+        sampler=SamplingTraceRecorder(capacity=4096, horizon=4096),
+    )
+    compiled = compile_relation(spec, layout)()
+    for i in range(2000):
+        row = t(ts=i % 500, id=i, v=i % 7)
+        live.insert(row)
+        compiled.insert(row)
+    served = []
+    for relation in (compiled, live):
+        with COUNTER as counter:
+            rows = relation.query_range("ts", 10, 12)
+        served.append((rows, counter.accesses))
+    assert served[0] == served[1]
+    assert len(served[0][0]) == 12
+    assert live.sampler.sampled_operations()[-1] == ("range", "ts", 10, 12)
+    assert ("range", "ts") in live.sampler.recent_mix()
+    trace = live._retune_trace()
+    assert trace.operations[-1] == ("range", "ts", 10, 12)
+    trace.replay(ReferenceRelation(spec))
 
 
 class TestFacadeContract:
