@@ -83,13 +83,6 @@ _CHARGED_RE = re.compile(
 #: Specialised methods: each must be reachable from its dispatch table.
 _SPECIALISED_RE = re.compile(r"^(_qv_|_q_|_rm_)\d+$")
 
-#: ``self`` attributes that are bookkeeping, not journalled container state:
-#: counters and the ordered-scan snapshot cache, all rebuilt or reconciled
-#: outside the rollback protocol by design.
-_BOOKKEEPING_ATTRS = frozenset(
-    ("_count", "_mut", "_rord", "_rkeys", "_rset", "_rord_mut", "_t_cache", "_proj_cache")
-)
-
 #: Registry attributes (``self._s0``, ``self._s1`` ...): journalled like any
 #: container but deliberately uncounted — the registry models the shared
 #: record's identity map, not a traversed index structure.

@@ -711,6 +711,23 @@ class _RelationCompiler:
                 with self.em.indent():
                     on_conflict(fd)
 
+    def _emit_range_log(self, e: MapEdge, kexpr: str) -> None:
+        """On the ordered root edge serving range reads, log key *kexpr*,
+        just linked into or unlinked from the root container, for the next
+        range read's repair (``sync_range_snapshot``).  A set: a key
+        churned many times is re-checked once.  Logging stops once the log
+        holds more than an eighth of the snapshot's keys, which tells the
+        read to diff the whole key set instead.  A rollback of the write
+        leaves the key logged; the repair re-checks it against the live
+        container and finds it unchanged."""
+        if e is not self.range_edge:
+            return
+        em = self.em
+        em.line("_rl = self._rlog")
+        em.line("if len(_rl) <= len(self._rkeys) >> 3:")
+        with em.indent():
+            em.line(f"_rl.add({kexpr})")
+
     def _emit_store_walk(self, node: DecompNode, inst_expr: str, shared_emitted: set) -> None:
         em = self.em
         if node.is_unit:  # Unit root: the instance is the residual itself.
@@ -726,6 +743,7 @@ class _RelationCompiler:
             elif e.child.is_unit:
                 residual = self._residual_expr(e.child, self._vexpr)
                 self._touch("store", cvar, kexpr, residual, e, site="codegen.insert.store")
+                self._emit_range_log(e, kexpr)
             else:
                 nvar = self._gensym("n")
                 self._emit_get(e, nvar, cvar, kexpr)
@@ -733,6 +751,7 @@ class _RelationCompiler:
                 with em.indent():
                     em.line(f"{nvar} = {self._node_literal(e.child)}")
                     self._touch("link", cvar, kexpr, nvar, e, paid=True)
+                    self._emit_range_log(e, kexpr)
                 self._emit_store_walk(e.child, nvar, shared_emitted)
 
     def _emit_shared_store(self, e: MapEdge, cvar: str, kexpr: str, shared_emitted: set) -> None:
@@ -759,6 +778,7 @@ class _RelationCompiler:
         em.line(f"if _sn{j}:")
         with em.indent():
             self._touch("link", cvar, kexpr, cell, e, site="codegen.insert.link_shared")
+            self._emit_range_log(e, kexpr)
         if descend:
             self._emit_store_walk(e.child, cell, shared_emitted)
 
@@ -806,6 +826,7 @@ class _RelationCompiler:
             em.line(f"if {cond}:")
             with em.indent():
                 self._touch("unlink", cvar, kexpr, edge=e, site="codegen.remove.unlink", paid=paid)
+                self._emit_range_log(e, kexpr)
                 if e.child.is_unit:
                     em.line("removed = True")
             em.pop(opened)
@@ -821,7 +842,8 @@ class _RelationCompiler:
             self.patterns.append(
                 _Pattern(subset, self._mask(subset), plan, self._is_batch_removable(subset, plan))
             )
-        self.has_range = self._range_path() is not None
+        choice = self._range_path()
+        self.range_edge = choice[1] if choice is not None else None
         self._emit_module_header()
         self._emit_class_header()
         with em.indent():
@@ -875,7 +897,7 @@ class _RelationCompiler:
             f"Do not edit; regenerate with repro.codegen.generate_source()."
         )
         em.line()
-        if self.has_range:
+        if self.range_edge is not None:
             em.lines(
                 "from bisect import bisect_left as _bl, bisect_right as _br",
                 "",
@@ -937,14 +959,14 @@ class _RelationCompiler:
             em.line("self._count = 0")
             em.line("self._proj_cache = {}")
             em.line("self._t_cache = {}")
-            if self.has_range:
+            if self.range_edge is not None:
                 # The ordered-root range cache: a sorted (sort_key, key)
-                # snapshot rebuilt lazily whenever the mutation stamp moved.
-                em.line("self._mut = 0")
+                # snapshot, and the set of root keys linked or unlinked
+                # since the last range read, from which that read repairs
+                # it (see sync_range_snapshot).
                 em.line("self._rord = []")
                 em.line("self._rkeys = []")
-                em.line("self._rset = None")
-                em.line("self._rord_mut = -1")
+                em.line("self._rlog = set()")
             for j, node in enumerate(self.shared_nodes):
                 bound = ", ".join(self.shared_bound_cols[id(node)])
                 em.line(f"self._s{j} = {{}}  # shared node registry ({{{bound}}} binding -> cell)")
@@ -1019,11 +1041,6 @@ class _RelationCompiler:
             em.line("_fa = _F.active")
             em.line(f"{self._row_unpack()} = row")
             self._emit_presence_check()
-            if self.has_range:
-                # Stamp before mutating: a rollback leaves the stamp moved,
-                # which only over-invalidates the range cache (never serves
-                # stale keys).
-                em.line("self._mut += 1")
             with self._rollback(enlist=True):
                 if self.spec.fds:
                     em.line("if not self.enforce_fds:")
@@ -1107,8 +1124,6 @@ class _RelationCompiler:
             em.line("_fa = _F.active")
             em.line(f"{self._row_unpack()} = row")
             em.line("removed = False")
-            if self.has_range:
-                em.line("self._mut += 1")
             for j, node in enumerate(self.shared_nodes):
                 em.line(f"_b{j} = {self._bk_expr(node, self._vexpr)}")
                 em.line(f"_sc{j} = self._s{j}.get(_b{j})")
@@ -1376,11 +1391,11 @@ class _RelationCompiler:
             "descent — the boundary probes plus one in-order successor "
             "hop per in-range entry — like every tree-strategy probe "
             "is charged the modelled log2(n), not the dict's O(1).  "
-            "Served from a sorted key snapshot rebuilt lazily when the "
-            "mutation stamp moved (bisected bounds, physical O(log n + "
-            "k) between mutations); the charges are identical either "
-            "way — the cache is a constant-factor device, not a "
-            "counted-cost one.",
+            "Served from a sorted key snapshot (bisected bounds, "
+            "physical O(log n + k)), repaired first from the root keys "
+            "that writes linked or unlinked since the last range read; "
+            "the charges are identical either way — the cache is a "
+            "constant-factor device, not a counted-cost one.",
             fresh=True,
         ):
             em.line("en = _C.enabled")
@@ -1389,7 +1404,7 @@ class _RelationCompiler:
             with em.indent():
                 em.line("_C.scans += 1")
                 em.line("_C.accesses += max(1, len(c0).bit_length())")
-            em.line("if self._rord_mut != self._mut:")
+            em.line("if self._rlog:")
             with em.indent():
                 em.line("sync_range_snapshot(self, c0)")
             em.line("_o = self._rord")

@@ -333,34 +333,50 @@ def intern_rows(tc, cols, rows):
 
 def sync_range_snapshot(rel, c0):
     """Bring *rel*'s sorted ``(sort_key, key)`` snapshot of its ordered root
-    container *c0* up to date after the mutation stamp moved.
+    container *c0* up to date with the root keys logged in ``rel._rlog``.
 
-    Repairs the snapshot from the key-set diff when few keys moved (the
-    common churn shape: remove + re-insert of the same keys leaves the diff
-    empty); rebuilds it wholesale when the diff is a sizeable fraction of
-    the container.  Charges nothing: the caller charges the modelled tree
-    descent, which is the same whether or not the snapshot was stale.
+    Writers add a key to the log as they link it into or unlink it from
+    *c0*, so the log holds every key whose membership may have changed
+    since the last range read, each once.  Each is re-checked against *c0*
+    and bisected into or out of the snapshot: a repair costs one bisection
+    and at most one list insert or delete per logged key, not a diff of
+    all n keys.  A key whose write was rolled back re-checks
+    as unchanged.  Writers stop adding once the log holds more than an
+    eighth of the snapshot's keys; a log that long is replaced by the net
+    change of the whole key set, diffed against the snapshot itself, and
+    only a net change that large too rebuilds the snapshot from *c0*.
+    Charges nothing: the caller charges the modelled tree descent, which
+    is the same whether or not the snapshot was stale.
     """
-    ck = set(c0)
-    old = rel._rset
-    if old is None or len(ck ^ old) * 8 > len(ck):
-        o = [(_VSK(k), k) for k in ck]
+    log = rel._rlog
+    bound = len(rel._rkeys) >> 3
+    if len(log) > bound:
+        log = c0.keys() ^ {p[1] for p in rel._rord}
+    if len(log) > bound:
+        o = [(_VSK(k), k) for k in c0]
         o.sort(key=_ig0)
         rel._rord = o
         rel._rkeys = [p[0] for p in o]
     else:
         o = rel._rord
         ks = rel._rkeys
-        for k in old - ck:
-            ix = _bl(ks, _VSK(k))
-            while o[ix][1] != k:
-                ix += 1
-            del o[ix]
-            del ks[ix]
-        for k in ck - old:
+        for k in log:
             kk = _VSK(k)
             ix = _bl(ks, kk)
-            o.insert(ix, (kk, k))
-            ks.insert(ix, kk)
-    rel._rset = ck
-    rel._rord_mut = rel._mut
+            # Unequal keys can share a sort key (the repr fallback); step
+            # over those to the entry holding k, if any.  Keys match as in
+            # a dict, by identity, then equality: a NaN key finds itself.
+            while ix < len(ks) and ks[ix] == kk:
+                x = o[ix][1]
+                if x is k or x == k:
+                    break
+                ix += 1
+            held = ix < len(ks) and ks[ix] == kk
+            if k in c0:
+                if not held:
+                    o.insert(ix, (kk, k))
+                    ks.insert(ix, kk)
+            elif held:
+                del o[ix]
+                del ks[ix]
+    rel._rlog = set()

@@ -12,7 +12,9 @@ Two requirements drive the design:
 * values must be *totally orderable within a column*, because tree-based
   containers need an ordering.  Values of mixed Python types in the same
   column are ordered by ``(type name, value)`` so that ordered containers
-  never raise ``TypeError``.
+  never raise ``TypeError``; ``bool``, ``int`` and ``float`` share one
+  numeric class, so numbers that are equal (``0``, ``0.0``, ``False``)
+  sort equal, as they hash and compare equal.
 """
 
 from __future__ import annotations
@@ -61,17 +63,17 @@ def ensure_value(value: Any) -> Value:
 def value_sort_key(value: Value) -> Tuple[str, Any]:
     """Return a sort key that totally orders arbitrary relation values.
 
-    Values of the same type compare by their natural ordering; values of
-    different types compare by type name.  Booleans are folded into the
-    integer ordering (mirroring Python semantics), and unorderable values
-    fall back to their ``repr``.
+    ``bool``, ``int`` and ``float`` form one numeric class, ordered by
+    numeric value: ``False == 0 == 0.0`` get one key, ``1.5`` sorts
+    between ``1`` and ``2``, and the class sits where ``int`` always did
+    among other types.  A NaN, equal to no number, stays out of that class
+    (tagged ``"float"``, below every number) so the keys stay totally
+    ordered.  Other values of the same type compare by their natural
+    ordering; values of different types compare by type name, and
+    unorderable values fall back to their ``repr``.
     """
-    if isinstance(value, bool):
-        return ("int", int(value))
-    if isinstance(value, int):
-        return ("int", value)
-    if isinstance(value, float):
-        return ("float", value)
+    if isinstance(value, (int, float)):  # bool is an int subclass
+        return ("int", value) if value == value else ("float", value)
     if isinstance(value, str):
         return ("str", value)
     type_name = type(value).__name__

@@ -14,7 +14,13 @@ at every layer:
   and unordered layouts alike;
 * the asymptotics — an ordered root index serves a narrow window cheaply
   where a hash-rooted layout pays a full scan, in the interpreted and the
-  compiled tier both.
+  compiled tier both;
+* equal numbers of different types (``0``, ``0.0``, ``False``) — one key
+  on every tier, with fractional bounds ordered numerically;
+* the compiled tier's range snapshot — repaired from the root keys that
+  writes linked or unlinked, the log bounded, and the snapshot equal to a
+  full rebuild after every range read, with faults injected into the
+  writes.
 """
 
 import random
@@ -23,8 +29,10 @@ import pytest
 
 from repro.codegen import compile_relation
 from repro.core import ReferenceRelation, RelationSpec, Tuple
-from repro.core.errors import FunctionalDependencyError
+from repro.core.errors import FaultInjected, FunctionalDependencyError
+from repro.core.values import value_sort_key
 from repro.decomposition import DecomposedRelation
+from repro.faults import FAULTS, fault_sites
 from repro.structures import COUNTER
 from repro.structures.avltree import AVLTreeMap
 from repro.structures.htable import HashTableMap
@@ -276,3 +284,241 @@ class TestOrderedScanWorkload:
         expected = tiers["reference"].query_range("ts", 20, 80)
         for name, tier in tiers.items():
             assert tier.query_range("ts", 20, 80) == expected, name
+
+
+#: Equal numbers of different types: ``0 == 0.0 == False`` and
+#: ``1 == 1.0 == True`` are one key each, as in a dict or a set.
+MIXED_KEYS = (0, 0.0, False, 1, 1.0, True, 2, 2.0, 3, 5)
+MIXED_LAYOUTS = {
+    "flat": ("ts -> avl {v}", ["ts -> v"]),
+    "nested": ("ts -> avl v -> htable {}", []),
+    "shared": ("[ts -> avl @rec ; ts -> htable @rec] where @rec = {v}", ["ts -> v"]),
+}
+MIXED_SEQUENCES, MIXED_STEPS = 300, 40
+
+
+def mixed_tiers(layout):
+    text, fds = MIXED_LAYOUTS[layout]
+    spec = RelationSpec("ts, v", fds=fds, name="mixed")
+    return {
+        "reference": ReferenceRelation(spec),
+        "interpreted": DecomposedRelation(spec, text),
+        "compiled": compile_relation(spec, text)(),
+    }
+
+
+def snapshot_is_fresh(relation):
+    """The compiled range snapshot equals a full rebuild from the ordered
+    root container (the first branch's, under a branching root)."""
+    root = relation._root
+    container = root if isinstance(root, dict) else root[0]
+    return relation._rkeys == sorted(map(value_sort_key, container))
+
+
+def log_is_bounded(relation):
+    """At most an eighth of the snapshot's keys, plus the one entry past
+    that bound which tells the next range read the log overflowed."""
+    return len(relation._rlog) <= (len(relation._rkeys) >> 3) + 1
+
+
+def mixed_operation(rng):
+    """One seeded insert, remove or update (ts- or v-changing) over
+    MIXED_KEYS, or ``None`` for a range read."""
+    roll = rng.random()
+    if roll < 0.35:
+        row = Tuple(ts=rng.choice(MIXED_KEYS), v=rng.choice(MIXED_KEYS))
+        return lambda tier: tier.insert(row)
+    if roll < 0.55:
+        pattern = Tuple(ts=rng.choice(MIXED_KEYS))
+        return lambda tier: tier.remove(pattern)
+    if roll < 0.75:
+        pattern = Tuple(ts=rng.choice(MIXED_KEYS))
+        changes = Tuple({rng.choice(("ts", "v")): rng.choice(MIXED_KEYS)})
+        return lambda tier: tier.update(pattern, changes)
+    return None
+
+
+def run_mixed(layout, seed, fault_share=0.0):
+    """Drive one seeded sequence on all three tiers.  *fault_share* of the
+    compiled tier's mutations first run with a random ``codegen.*`` fault
+    armed; one that fires must roll back, and the disarmed retry follows.
+    Rows compare by value (``Tuple`` equality), so which of two equal key
+    objects a tier stores is not observable."""
+    rng = random.Random(seed)
+    sites = sorted(site for site in fault_sites() if site.startswith("codegen."))
+    tiers = mixed_tiers(layout)
+    compiled = tiers["compiled"]
+    for step in range(MIXED_STEPS):
+        op = mixed_operation(rng)
+        if op is None:
+            lo = rng.choice(MIXED_KEYS + (None, 1.5))
+            hi = rng.choice(MIXED_KEYS + (None, 2.5))
+            expected = tiers["reference"].query_range("ts", lo, hi)
+            for name, tier in tiers.items():
+                assert tier.query_range("ts", lo, hi) == expected, (
+                    f"{name} diverged on [{lo!r}, {hi!r}] at step {step} of seed {seed}"
+                )
+            assert snapshot_is_fresh(compiled), f"stale snapshot at step {step} of seed {seed}"
+            continue
+        pending = tiers
+        if rng.random() < fault_share:
+            FAULTS.arm(rng.choice(sites))
+            try:
+                op(compiled)
+            except (FaultInjected, FunctionalDependencyError):
+                pass  # Rolled back or rejected: retried with the others.
+            else:
+                pending = {name: tier for name, tier in tiers.items() if tier is not compiled}
+            finally:
+                FAULTS.disarm()
+        apply_all(op, pending)
+        assert log_is_bounded(compiled)
+    final = tiers["reference"].to_relation()
+    for name, tier in tiers.items():
+        assert tier.to_relation() == final, f"{name} final state, seed {seed}"
+    compiled.check_well_formed()
+
+
+class TestMixedNumericKeys:
+    @pytest.mark.parametrize("layout", sorted(MIXED_LAYOUTS))
+    def test_fractional_bounds_order_numerically(self, layout):
+        tiers = mixed_tiers(layout)
+        for ts in (0, 1, 2, 3, 5):
+            apply_all(lambda tier: tier.insert(Tuple(ts=ts, v=ts)), tiers)
+        for name, tier in tiers.items():
+            assert [r["ts"] for r in tier.query_range("ts", 1.5, 3)] == [2, 3], name
+            assert [r["ts"] for r in tier.query_range("ts", 0, 2.5)] == [0, 1, 2], name
+
+    @pytest.mark.parametrize("layout", sorted(MIXED_LAYOUTS))
+    def test_seeded_differential(self, layout):
+        """Inserts, removes, updates and range reads over equal keys of
+        different types agree on all three tiers."""
+        for seed in range(MIXED_SEQUENCES):
+            run_mixed(layout, seed)
+
+    def test_nan_key_stays_ordered(self):
+        """NaN equals no number, so it keeps a sort class of its own below
+        the numbers: ranges over the numbers agree on every tier, and the
+        interpreted tree and the compiled snapshot repair still find the
+        NaN key."""
+        nan = float("nan")
+        tiers = mixed_tiers("flat")
+        for ts in (3, nan, 1, 2):
+            apply_all(lambda tier: tier.insert(Tuple(ts=ts, v=0)), tiers)
+        expected = tiers["reference"].query_range("ts", 1, 2)
+        assert [r["ts"] for r in expected] == [1, 2]
+        for name, tier in tiers.items():
+            assert tier.query_range("ts", 1, 2) == expected, name
+        tree = AVLTreeMap()
+        for ts in (3, nan, 1, 2):
+            tree.insert(Tuple(ts=ts), ts)
+        assert tree.lookup(Tuple(ts=nan)) is nan
+        assert tree.remove(Tuple(ts=nan)) and tree.check_invariants()
+        assert [key["ts"] for key, _ in tree.items()] == [1, 2, 3]
+        # The compiled tier's dict probes find the NaN key by identity (the
+        # other tiers match no row to a NaN pattern); its snapshot repair
+        # must match the key the same way.
+        compiled = tiers["compiled"]
+        for ts in range(4, 20):
+            compiled.insert(Tuple(ts=ts, v=0))
+        compiled.query_range("ts")
+        compiled.remove(Tuple(ts=nan))
+        assert compiled._rlog == {nan}
+        assert [r["ts"] for r in compiled.query_range("ts")] == list(range(1, 20))
+        assert snapshot_is_fresh(compiled)
+
+
+class TestRangeSnapshotKeyLog:
+    @pytest.mark.parametrize("layout", sorted(MIXED_LAYOUTS))
+    def test_repair_under_faults_matches_rebuild(self, layout):
+        """With a codegen fault armed on about 30% of mutations, every range
+        read agrees with the reference and leaves the snapshot equal to a
+        full rebuild from the live root container."""
+        for seed in range(MIXED_SEQUENCES):
+            run_mixed(layout, 1000 + seed, fault_share=0.3)
+
+    def fill(self, rows=64):
+        tiers = build_tiers(LAYOUTS["avl-root"])
+        del tiers["interpreted"]
+        for ts in range(rows):
+            apply_all(lambda tier: tier.insert(Tuple(ts=ts, sensor="temp", reading=ts)), tiers)
+        tiers["compiled"].query_range("ts")
+        assert tiers["compiled"]._rlog == set()
+        return tiers
+
+    def test_log_is_bounded_then_switches_to_rebuild(self):
+        tiers = self.fill()
+        compiled = tiers["compiled"]
+        bound = len(compiled._rkeys) >> 3
+        for ts in range(bound):
+            apply_all(lambda tier: tier.remove(Tuple(ts=ts)), tiers)
+        assert compiled._rlog == set(range(bound))
+        for ts in range(bound, 3 * bound):
+            apply_all(lambda tier: tier.remove(Tuple(ts=ts)), tiers)
+            assert len(compiled._rlog) == bound + 1
+        snapshot = compiled._rord
+        reference = tiers["reference"]
+        for lo, hi in [(None, None), (0, 20), (10, 30)]:
+            assert compiled.query_range("ts", lo, hi) == reference.query_range("ts", lo, hi)
+        assert compiled._rord is not snapshot, "a log past the bound rebuilds"
+        assert compiled._rlog == set() and snapshot_is_fresh(compiled)
+
+    def test_overflowed_log_falls_back_to_the_net_change(self):
+        """Churning more distinct keys than the bound overflows the log,
+        but the key set's net change is one key: the read diffs the key
+        set against the snapshot and repairs it in place, no rebuild."""
+        tiers = self.fill()
+        compiled = tiers["compiled"]
+        bound = len(compiled._rkeys) >> 3
+        for ts in range(3 * bound):
+            apply_all(lambda tier: tier.remove(Tuple(ts=ts)), tiers)
+            apply_all(lambda tier: tier.insert(Tuple(ts=ts, sensor="flow", reading=0)), tiers)
+        apply_all(lambda tier: tier.remove(Tuple(ts=60)), tiers)
+        assert len(compiled._rlog) == bound + 1
+        snapshot = compiled._rord
+        assert compiled.query_range("ts") == tiers["reference"].query_range("ts")
+        assert compiled._rord is snapshot and snapshot_is_fresh(compiled)
+
+    def test_logged_repair_serves_the_next_read(self):
+        tiers = self.fill()
+        compiled = tiers["compiled"]
+        apply_all(lambda tier: tier.remove(Tuple(ts=5)), tiers)
+        apply_all(lambda tier: tier.insert(Tuple(ts=100, sensor="flow", reading=1)), tiers)
+        assert compiled._rlog == {5, 100}
+        snapshot = compiled._rord
+        assert compiled.query_range("ts", 4, 100) == tiers["reference"].query_range("ts", 4, 100)
+        assert compiled._rord is snapshot, "a short log repairs in place"
+        assert compiled._rlog == set() and snapshot_is_fresh(compiled)
+
+    def test_same_key_churn_logs_the_key_once(self):
+        """Removing and re-inserting one key more often than the bound
+        leaves one logged key, repaired in place."""
+        tiers = self.fill()
+        compiled = tiers["compiled"]
+        for reading in range(3 * (len(compiled._rkeys) >> 3)):
+            apply_all(lambda tier: tier.remove(Tuple(ts=7)), tiers)
+            apply_all(lambda tier: tier.insert(Tuple(ts=7, sensor="volt", reading=reading)), tiers)
+        assert compiled._rlog == {7}
+        snapshot = compiled._rord
+        assert compiled.query_range("ts", 6, 8) == tiers["reference"].query_range("ts", 6, 8)
+        assert compiled._rord is snapshot and snapshot_is_fresh(compiled)
+
+    def test_writes_that_keep_the_root_keys_log_nothing(self):
+        """A residual-only update, and an insert or remove under a root key
+        that stays present, leave the root key set and the log alone."""
+        tiers = self.fill()
+        compiled = tiers["compiled"]
+        apply_all(lambda tier: tier.update(Tuple(ts=3), Tuple(reading=99)), tiers)
+        assert compiled._rlog == set()
+        assert compiled.query_range("ts", 3, 3) == tiers["reference"].query_range("ts", 3, 3)
+        tiers = mixed_tiers("nested")
+        compiled = tiers["compiled"]
+        apply_all(lambda tier: tier.insert(Tuple(ts=1, v=1)), tiers)
+        compiled.query_range("ts")
+        apply_all(lambda tier: tier.insert(Tuple(ts=1, v=2)), tiers)
+        apply_all(lambda tier: tier.remove(Tuple(ts=1, v=1)), tiers)
+        assert compiled._rlog == set()
+        apply_all(lambda tier: tier.remove(Tuple(ts=1, v=2)), tiers)
+        assert compiled._rlog == {1}
+        for name, tier in tiers.items():
+            assert tier.query_range("ts") == [], name

@@ -74,3 +74,8 @@ class TestValues:
 
     def test_bool_folds_into_int_order(self):
         assert sorted([True, 0, 2], key=value_sort_key) == [0, True, 2]
+
+    def test_equal_numbers_share_one_key_and_order_by_value(self):
+        assert value_sort_key(0) == value_sort_key(0.0) == value_sort_key(False)
+        assert value_sort_key(1) == value_sort_key(1.0) == value_sort_key(True)
+        assert sorted([3, 2.5, True, -0.5, 2], key=value_sort_key) == [-0.5, True, 2, 2.5, 3]
