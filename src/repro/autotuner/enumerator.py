@@ -39,6 +39,9 @@ contiguous probes vs. ``n/2`` pointer chasing) and therefore its own class.
 Candidates are deduplicated by canonical shape (structure aliases such as
 ``btree`` resolve to their canonical names first; sharing is part of the
 shape, so a shared layout never collides with its per-branch-copy twin).
+"Adequate by construction" is still checked, once per structure-free
+shape (:func:`shape_skeleton`): the adequacy judgement
+(:mod:`repro.decomposition.adequacy`) reads no structure name.
 
 What the enumerator deliberately does **not** explore (see ROADMAP):
 ≥3-branch layouts, depth beyond ``max_depth``, shared *map* sub-nodes
@@ -55,7 +58,7 @@ from ..core.columns import ColumnSet, columns
 from ..core.errors import AutotunerError
 from ..core.spec import RelationSpec
 from ..decomposition.adequacy import check_adequacy
-from ..decomposition.model import Decomposition, DecompNode, MapEdge, format_decomposition
+from ..decomposition.model import Decomposition, DecompNode, MapEdge
 from ..structures.registry import (
     canonical_structure_name,
     default_structure_names,
@@ -82,9 +85,10 @@ def canonical_shape(decomposition: Decomposition) -> str:
     (``btree`` → ``avl``), so a layout written with either name maps to the
     same key.  Node sharing is part of the key (shared nodes render as
     ``@name`` references), so a shared layout and its per-branch-copy twin
-    are distinct candidates.
+    are distinct candidates.  Rendered once per decomposition
+    (:meth:`Decomposition.canonical_shape`).
     """
-    return format_decomposition(decomposition.root, canonical_structure_name)
+    return decomposition.canonical_shape()
 
 
 def shape_skeleton(decomposition: Decomposition) -> str:
@@ -93,9 +97,11 @@ def shape_skeleton(decomposition: Decomposition) -> str:
     Candidates sharing a skeleton differ only in container flavour; the
     tuner's exact-replay beam caps how many of them advance, so a block of
     cost-tied same-shape variants cannot crowd every *different* shape out
-    of the replay phase.
+    of the replay phase.  The static scorer plans each skeleton once and
+    only prices its container assignments.  Rendered once per
+    decomposition (:meth:`Decomposition.skeleton`).
     """
-    return format_decomposition(decomposition.root, lambda _name: "?")
+    return decomposition.skeleton()
 
 
 def representative_structures(names: Optional[Sequence[str]] = None) -> List[str]:
@@ -283,6 +289,7 @@ def enumerate_decompositions(
 
     decompositions: List[Decomposition] = []
     seen_shapes: set = set()
+    adequate_skeletons: set = set()
     truncated = False
 
     def emit(branch_shapes: Sequence[PathShape]) -> bool:
@@ -303,14 +310,20 @@ def enumerate_decompositions(
                 offset += len(groups)
                 edges.append(_build_branch((groups, unit_cols), branch_structures))
             root = DecompNode(edges=tuple(edges))
-            decomposition = Decomposition(root, name=f"auto{len(decompositions)}")
-            key = canonical_shape(decomposition)
-            if key in seen_shapes:
-                continue
-            check_adequacy(decomposition, spec)  # Adequate by construction.
-            seen_shapes.add(key)
-            decompositions.append(decomposition)
+            keep(Decomposition(root, name=f"auto{len(decompositions)}"))
         return True
+
+    def keep(decomposition: Decomposition) -> None:
+        """Keep *decomposition* unless its canonical shape is already kept."""
+        shape = canonical_shape(decomposition)
+        if shape in seen_shapes:
+            return
+        skeleton = shape_skeleton(decomposition)
+        if skeleton not in adequate_skeletons:
+            check_adequacy(decomposition, spec)  # Adequate by construction.
+            adequate_skeletons.add(skeleton)
+        seen_shapes.add(shape)
+        decompositions.append(decomposition)
 
     def emit_shared() -> bool:
         """Instantiate the shared-node 2-branch variants (one per minimal
@@ -335,17 +348,8 @@ def enumerate_decompositions(
                     if max_candidates is not None and len(decompositions) >= max_candidates:
                         truncated = True
                         return False
-                    a1, a2, b1, b2 = assignment
-                    root = _build_shared_root(
-                        key_set, effective, unit_cols, (a1, a2, b1, b2)
-                    )
-                    decomposition = Decomposition(root, name=f"auto{len(decompositions)}")
-                    key = canonical_shape(decomposition)
-                    if key in seen_shapes:
-                        continue
-                    check_adequacy(decomposition, spec)  # Adequate by construction.
-                    seen_shapes.add(key)
-                    decompositions.append(decomposition)
+                    root = _build_shared_root(key_set, effective, unit_cols, assignment)
+                    keep(Decomposition(root, name=f"auto{len(decompositions)}"))
         return True
 
     for shape in single_shapes:

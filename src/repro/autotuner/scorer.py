@@ -2,10 +2,15 @@
 
 Phase 1 — **static estimate** (:func:`static_cost`): a closed-form cost per
 candidate computed from the trace *profile* (operation counts per pattern
-column set) and the containers' cost models, via the same
-:func:`~repro.decomposition.plan.plan_query` / ``structure_cost`` machinery
-the live planner uses.  Cheap enough to rank hundreds of candidates and
-prune the space.
+column set) and the containers' cost models, via the same candidate plans,
+plan rank and ``structure_cost`` machinery the live planner uses
+(:func:`~repro.decomposition.plan.plan_query`).  Everything but the
+container names is a property of the candidate's structure-free shape
+(:func:`~repro.autotuner.enumerator.shape_skeleton`): edge sizes, shared
+children, coverage, residual-safe update columns and the valid plans per
+pattern.  The tuner computes that once per shape (:class:`ShapeCosts`) and
+only prices each container assignment against it, so ranking the roughly
+hundred assignments of each shape costs little more than one of them.
 
 Phase 2 — **exact replay** (:func:`exact_accesses`): the surviving
 candidates replay the full trace on the interpreted tier under the
@@ -21,14 +26,16 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.spec import RelationSpec
 from ..decomposition.model import Decomposition, MapEdge
-from ..decomposition.plan import plan_query, residual_update_columns
+from ..decomposition.plan import candidate_plans, plan_rank, residual_update_columns
 from ..decomposition.relation import DecomposedRelation
 from ..structures.base import COUNTER
 from ..structures.registry import structure_cost
+from .enumerator import shape_skeleton
 from .trace import Trace, TraceProfile, replay_trace
 
 __all__ = [
     "ScoredCandidate",
+    "ShapeCosts",
     "estimate_edge_sizes",
     "static_cost",
     "memory_proxy",
@@ -116,11 +123,68 @@ def estimate_edge_sizes(
     return sizes
 
 
+class ShapeCosts:
+    """What :func:`static_cost` reads of one structure-free shape.
+
+    Built once from a *representative* decomposition of the shape and read
+    for every candidate with the same skeleton.  Such candidates have the
+    same graph, edge for edge in :meth:`Decomposition.edges` order, and
+    differ only in container names, which nothing here reads: the
+    representative's ``edges``, their estimated ``sizes``, the mutation
+    charged on each (``"unlink"`` into a shared child, ``"lookup"``
+    otherwise), the columns whose in-place update descends each
+    (``in_place``: none into a shared child, which resolves through the
+    uncounted registry), the residual-safe update columns, and per trace
+    pattern the valid candidate plans the planner ranks
+    (:func:`~repro.decomposition.plan.candidate_plans`).
+    """
+
+    __slots__ = ("edges", "sizes", "mutations", "in_place", "resid_safe", "plans")
+
+    def __init__(
+        self,
+        representative: Decomposition,
+        profile: TraceProfile,
+        spec: Optional[RelationSpec] = None,
+    ):
+        self.edges: List[MapEdge] = representative.edges()
+        self.sizes = estimate_edge_sizes(representative, profile)
+        parent_counts = representative.parent_counts()
+        shared = [parent_counts.get(id(e.child), 0) >= 2 for e in self.edges]
+        self.mutations = ["unlink" if into_shared else "lookup" for into_shared in shared]
+        self.in_place = [
+            frozenset() if into_shared else representative.edge_coverage(e)
+            for e, into_shared in zip(self.edges, shared)
+        ]
+        self.resid_safe = (
+            residual_update_columns(representative, spec) if spec is not None else frozenset()
+        )
+        self.plans = {
+            pattern: candidate_plans(representative, pattern, spec)[0]
+            for pattern in profile.pattern_columns()
+        }
+
+    def structures(self, decomposition: Decomposition) -> Dict[MapEdge, str]:
+        """*decomposition*'s container names, keyed by the matching edge of
+        the representative (the decomposition must share its skeleton)."""
+        return {e: own.structure for e, own in zip(self.edges, decomposition.edges())}
+
+    def plan_cost(
+        self, pattern: frozenset, structures: Dict[MapEdge, str], sizes: Dict[MapEdge, float]
+    ) -> float:
+        """The estimated cost of the plan :func:`~repro.decomposition.plan.plan_query`
+        picks for *pattern* when each edge holds the container *structures*
+        names for it: the pattern's plans priced under the planner's own rank."""
+        plans = self.plans[pattern]
+        return min(plan_rank(plan, order, sizes, structures) for order, plan in enumerate(plans))[0]
+
+
 def static_cost(
     decomposition: Decomposition,
     profile: TraceProfile,
     size_scale: float = 1.0,
     spec: Optional[RelationSpec] = None,
+    memo: Optional[Dict[str, ShapeCosts]] = None,
 ) -> float:
     """Estimated total accesses for a trace profile on *decomposition*.
 
@@ -146,19 +210,27 @@ def static_cost(
     (validated by the Figure 8 FD-closure rule), so 2-branch candidates
     whose split patterns previously forced full scans are costed by their
     cheapest join instead and ranked fairly against single-path layouts.
+
+    *memo* is a dict the caller keeps for one ``(spec, profile)`` pair: it
+    maps each :func:`shape_skeleton` to its :class:`ShapeCosts`, so the
+    candidates of one shape are planned once and each call only prices
+    the candidate's own containers.  Without it the decomposition is
+    planned for this call alone; the value is the same.
     """
-    sizes = estimate_edge_sizes(decomposition, profile)
+    if memo is None:
+        shape = ShapeCosts(decomposition, profile, spec)
+    else:
+        skeleton = shape_skeleton(decomposition)
+        shape = memo.get(skeleton)
+        if shape is None:
+            shape = memo[skeleton] = ShapeCosts(decomposition, profile, spec)
+    structures = shape.structures(decomposition)
+    sizes = shape.sizes
     if size_scale != 1.0:
         sizes = {e: n * size_scale for e, n in sizes.items()}
-    parent_counts = decomposition.parent_counts()
-    edges: List[MapEdge] = [e for node in decomposition.nodes() for e in node.edges]
     touch_all_edges = sum(
-        structure_cost(
-            e.structure,
-            sizes[e],
-            "unlink" if parent_counts.get(id(e.child), 0) >= 2 else "lookup",
-        )
-        for e in edges
+        structure_cost(structures[e], sizes[e], mutation)
+        for e, mutation in zip(shape.edges, shape.mutations)
     )
 
     plan_costs: Dict[frozenset, float] = {}
@@ -166,8 +238,7 @@ def static_cost(
     def plan_cost(pattern: frozenset) -> float:
         cached = plan_costs.get(pattern)
         if cached is None:
-            plan = plan_query(decomposition, pattern, sizes=sizes, spec=spec)
-            cached = plan.estimated_cost(sizes=sizes)
+            cached = shape.plan_cost(pattern, structures, sizes)
             plan_costs[pattern] = cached
         return cached
 
@@ -182,21 +253,16 @@ def static_cost(
     # changed residual (shared children resolve through the uncounted
     # registry), instead of the full remove + re-insert.  Candidates that
     # keep hot update columns out of their edge keys are now priced for it.
-    resid_safe = (
-        residual_update_columns(decomposition, spec) if spec is not None else frozenset()
-    )
-    coverage = decomposition.edge_coverage
-
     def resid_touch(changed: frozenset) -> float:
         return sum(
-            structure_cost(e.structure, sizes[e], "lookup")
-            for e in edges
-            if parent_counts.get(id(e.child), 0) < 2 and coverage(e) & changed
+            structure_cost(structures[e], sizes[e], "lookup")
+            for e, columns in zip(shape.edges, shape.in_place)
+            if columns & changed
         )
 
     plain = dict(profile.updates)
     for (pattern, changed), count in profile.update_changes.items():
-        if changed and changed <= resid_safe:
+        if changed and changed <= shape.resid_safe:
             cost += count * (plan_cost(pattern) + resid_touch(changed))
             plain[pattern] = plain.get(pattern, 0) - count
     for pattern, count in plain.items():

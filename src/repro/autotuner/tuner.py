@@ -5,9 +5,13 @@ specification and a recorded operation trace, it enumerates the adequate
 candidate decompositions (:mod:`~repro.autotuner.enumerator`), prunes them
 with the static cost estimate, replays the trace exactly on the survivors
 (:mod:`~repro.autotuner.scorer`), and returns the Pareto front plus the
-access-count winner.  :func:`synthesize` goes one step further and hands
-back a compiled relation class (:func:`repro.codegen.compile_relation`) for
-the winning layout — specification + workload in, generated code out.
+access-count winner.  The static phase plans each structure-free shape
+once, in a memo that lives for one :func:`autotune` call, and prices each
+candidate's containers against it; adequacy is checked once per shape
+too, since it reads no structure name.  :func:`synthesize` goes one step
+further and hands back a compiled relation class
+(:func:`repro.codegen.compile_relation`) for the winning layout —
+specification + workload in, generated code out.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Union
 from ..core.errors import AutotunerError
 from ..core.spec import RelationSpec
 from ..codegen import compile_relation
+from ..decomposition.adequacy import check_adequacy
 from ..decomposition.model import Decomposition
 from ..decomposition.parser import parse_decomposition
 from .enumerator import canonical_shape, enumerate_decompositions, shape_skeleton
@@ -152,6 +157,8 @@ class TuningResult:
 def _coerce_include(
     spec: RelationSpec, include: Iterable[Union[Decomposition, str]]
 ) -> List[Decomposition]:
+    """Parse the ``include`` layouts and check each is adequate for *spec*,
+    so an inadequate one fails before the search rather than at its replay."""
     coerced = []
     for entry in include:
         if isinstance(entry, str):
@@ -160,6 +167,7 @@ def _coerce_include(
             raise AutotunerError(
                 f"include entries must be decompositions or layout strings; got {entry!r}"
             )
+        check_adequacy(entry, spec)
         coerced.append(entry)
     return coerced
 
@@ -193,9 +201,16 @@ def autotune(
             recorded from an ``enforce_fds=False`` relation — which may
             contain FD-conflicting inserts — replay without raising.
 
+    The static phase calls :func:`static_cost` once per candidate and once
+    more per tie-broken candidate, with a shape memo that lives for this
+    call only: each structure-free shape is planned once and each of its
+    container assignments is priced against that plan listing.
+
     Raises:
         AutotunerError: when the trace targets a different specification or
             nothing can be enumerated.
+        AdequacyError: when an ``include`` layout is not adequate for
+            *spec* (raised before enumeration).
     """
     if trace.spec.columns != spec.columns:
         raise AutotunerError(
@@ -204,6 +219,7 @@ def autotune(
         )
     if enforce_fds is None:
         enforce_fds = trace.enforce_fds
+    extras = _coerce_include(spec, include)
     profile = trace.profile()
     enumerated = enumerate_decompositions(
         spec,
@@ -213,10 +229,12 @@ def autotune(
         max_candidates=max_candidates,
     )
 
+    memo: dict = {}  # Shape skeleton -> ShapeCosts, for this (spec, profile).
+
     def score(decomposition: Decomposition) -> ScoredCandidate:
         return ScoredCandidate(
             decomposition,
-            static_cost(decomposition, profile, spec=spec),
+            static_cost(decomposition, profile, spec=spec, memo=memo),
             memory_proxy(decomposition),
         )
 
@@ -245,6 +263,7 @@ def autotune(
                     profile,
                     size_scale=TIEBREAK_SIZE_SCALE,
                     spec=spec,
+                    memo=memo,
                 )
 
     # Every included layout outside the enumerated set is scored and ranked
@@ -253,7 +272,7 @@ def autotune(
     by_shape = {canonical_shape(c.decomposition): c for c in candidates}
     enumerated_ids = {id(c) for c in candidates}
     included = []
-    for extra in _coerce_include(spec, include):
+    for extra in extras:
         shape = canonical_shape(extra)
         if shape not in by_shape:
             by_shape[shape] = score(extra)

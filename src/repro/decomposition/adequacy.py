@@ -155,8 +155,8 @@ def check_adequacy(decomposition: Decomposition, spec: RelationSpec) -> None:
     problems = adequacy_problems(decomposition, spec)
     if problems:
         raise AdequacyError(
-            f"decomposition {decomposition.name!r} is not adequate for "
-            f"specification {spec.name!r}:\n  - " + "\n  - ".join(problems)
+            f"decomposition {decomposition.name!r} ({decomposition.describe()}) is "
+            f"not adequate for specification {spec.name!r}:\n  - " + "\n  - ".join(problems)
         )
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from ..core.columns import ColumnSet, columns, format_columns
 from ..core.errors import DecompositionError
-from ..structures.registry import get_structure
+from ..structures.registry import canonical_structure_name, get_structure
 
 __all__ = [
     "MapEdge",
@@ -189,7 +189,16 @@ class Decomposition:
     :func:`repro.decomposition.adequacy.check_adequacy`.
     """
 
-    __slots__ = ("name", "root", "_paths", "_node_bounds", "_parent_counts", "_coverage")
+    __slots__ = (
+        "name",
+        "root",
+        "_paths",
+        "_node_bounds",
+        "_parent_counts",
+        "_coverage",
+        "_shape",
+        "_skeleton",
+    )
 
     #: Guard against pathological graphs: branching nodes multiply paths.
     MAX_PATHS = 64
@@ -203,6 +212,8 @@ class Decomposition:
         self._node_bounds: Optional[Dict[int, List[ColumnSet]]] = None
         self._parent_counts: Optional[Dict[int, int]] = None
         self._coverage: Optional[Dict[int, ColumnSet]] = None
+        self._shape: Optional[str] = None
+        self._skeleton: Optional[str] = None
         self._validate()
 
     # -- structural validation -------------------------------------------------
@@ -377,6 +388,10 @@ class Decomposition:
         """The columns one branch accounts for: ``e.key ∪ coverage(e.child)``."""
         return e.key | self.node_coverage()[id(e.child)]
 
+    def edges(self) -> List[MapEdge]:
+        """Every distinct edge: each node's edges, nodes in :meth:`nodes` order."""
+        return [e for node in self.nodes() for e in node.edges]
+
     def structures(self) -> List[str]:
         """The container names used by the decomposition, sorted."""
         return sorted({e.structure for p in self._paths for e in p.edges})
@@ -410,6 +425,24 @@ class Decomposition:
         equivalent decomposition, preserving node sharing via ``@name``
         references and a ``where`` clause)."""
         return format_decomposition(self.root)
+
+    def canonical_shape(self) -> str:
+        """:meth:`describe` with structure aliases resolved (``btree`` →
+        ``avl``).  Rendered once and cached — the graph is immutable after
+        validation, and the autotuner keys, sorts and deduplicates every
+        candidate by it."""
+        if self._shape is None:
+            self._shape = format_decomposition(self.root, canonical_structure_name)
+        return self._shape
+
+    def skeleton(self) -> str:
+        """The rendering with every structure name erased (``?``); cached
+        like :meth:`canonical_shape`.  Two decompositions with one skeleton
+        have the same graph, edge for edge in :meth:`edges` order, and
+        differ only in container names."""
+        if self._skeleton is None:
+            self._skeleton = format_decomposition(self.root, lambda _name: "?")
+        return self._skeleton
 
     def __repr__(self) -> str:
         return f"Decomposition({self.name!r}, {self.describe()})"

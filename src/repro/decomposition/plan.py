@@ -41,13 +41,16 @@ picks the cheapest converging chain (:attr:`QueryPlan.leaf_shared`,
 search enumerate candidate chains through one shared helper,
 :func:`path_steps`.
 
-:func:`plan_query` is pure planning; :func:`execute_plan` runs any plan of
-the IR against a :class:`~repro.decomposition.instance.DecompositionInstance`.
+:func:`plan_query` is pure planning: it lists the valid candidates
+(:func:`candidate_plans`) and picks the lowest by :func:`plan_rank` — the
+listing and the rank the autotuner's static scorer also prices each
+container assignment of a shape with.  :func:`execute_plan` runs any plan
+of the IR against a :class:`~repro.decomposition.instance.DecompositionInstance`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple as PyTuple, Union
 
 from ..core.columns import ColumnSet, columns, format_columns
 from ..core.errors import QueryPlanError
@@ -67,6 +70,8 @@ __all__ = [
     "QueryPlan",
     "JoinPlan",
     "path_steps",
+    "candidate_plans",
+    "plan_rank",
     "plan_query",
     "residual_update_columns",
     "validate_plan",
@@ -83,6 +88,11 @@ DEFAULT_COST_SIZE = 1000.0
 #: as produced by :meth:`DecompositionInstance.edge_sizes`.
 EdgeSizes = Mapping[MapEdge, float]
 
+#: Optional per-edge container names to charge instead of each edge's own:
+#: the autotuner prices one shape's plans under each container assignment
+#: of that shape (see :func:`repro.autotuner.scorer.static_cost`).
+EdgeStructures = Mapping[MapEdge, str]
+
 
 class LookupStep:
     """Descend through one container entry whose key the context determines."""
@@ -93,8 +103,9 @@ class LookupStep:
         self.edge = edge
         self.edge_index = edge_index
 
-    def cost(self, n: float) -> float:
-        return structure_cost(self.edge.structure, n, "lookup")
+    def cost(self, n: float, structures: Optional[EdgeStructures] = None) -> float:
+        name = self.edge.structure if structures is None else structures[self.edge]
+        return structure_cost(name, n, "lookup")
 
     def describe(self) -> str:
         return f"lookup[{', '.join(sorted(self.edge.key))}]({self.edge.structure})"
@@ -109,8 +120,9 @@ class ScanStep:
         self.edge = edge
         self.edge_index = edge_index
 
-    def cost(self, n: float) -> float:
-        return structure_cost(self.edge.structure, n, "scan")
+    def cost(self, n: float, structures: Optional[EdgeStructures] = None) -> float:
+        name = self.edge.structure if structures is None else structures[self.edge]
+        return structure_cost(name, n, "scan")
 
     def describe(self) -> str:
         return f"scan({self.edge.structure})"
@@ -224,7 +236,10 @@ class QueryPlan:
         return self.path.covered
 
     def estimated_cost(
-        self, n: float = DEFAULT_COST_SIZE, sizes: Optional[EdgeSizes] = None
+        self,
+        n: float = DEFAULT_COST_SIZE,
+        sizes: Optional[EdgeSizes] = None,
+        structures: Optional[EdgeStructures] = None,
     ) -> float:
         """A coarse cost estimate: scans multiply the frontier, lookups do not.
 
@@ -233,13 +248,15 @@ class QueryPlan:
         step is charged against the size of the containers it actually
         touches instead of the symbolic *n* — so the estimate tracks the
         data distribution, e.g. a deep index whose second level holds two
-        entries per key costs far less than one holding a thousand.
+        entries per key costs far less than one holding a thousand.  With
+        *structures*, each step is charged as the container named there for
+        its edge instead of the edge's own.
         """
         total = 0.0
         frontier = 1.0
         for step in self.steps:
             step_n = n if sizes is None else sizes.get(step.edge, n)
-            total += frontier * step.cost(step_n)
+            total += frontier * step.cost(step_n, structures)
             if isinstance(step, ScanStep):
                 frontier *= max(1.0, step_n)
         return total
@@ -335,11 +352,14 @@ class JoinPlan:
         return self.build.produced | self.probe.produced
 
     def estimated_cost(
-        self, n: float = DEFAULT_COST_SIZE, sizes: Optional[EdgeSizes] = None
+        self,
+        n: float = DEFAULT_COST_SIZE,
+        sizes: Optional[EdgeSizes] = None,
+        structures: Optional[EdgeStructures] = None,
     ) -> float:
-        build_cost = self.build.estimated_cost(n, sizes)
+        build_cost = self.build.estimated_cost(n, sizes, structures)
         build_rows = self.build.estimated_rows(n, sizes)
-        probe_cost = self.probe.estimated_cost(n, sizes)
+        probe_cost = self.probe.estimated_cost(n, sizes, structures)
         if self.style == "probe":
             return build_cost + build_rows * probe_cost
         probe_rows = self.probe.estimated_rows(n, sizes)
@@ -524,6 +544,72 @@ def _join_witness(
     )
 
 
+def candidate_plans(
+    decomposition: Decomposition,
+    pattern_columns: Union[str, Iterable[str]],
+    spec: Optional[RelationSpec] = None,
+    allow_join: bool = True,
+) -> PyTuple[List[AnyPlan], List[QueryPlan]]:
+    """Every valid plan for a pattern over *pattern_columns*.
+
+    Returns ``(candidates, chain_plans)``: the valid plans :func:`plan_query`
+    ranks — one chain per path that covers every required column, then
+    :func:`_join_candidates` — and the chain plan of every path.  The
+    listing reads no container name, so the autotuner lists it once per
+    structure-free shape and prices each container assignment of that
+    shape with :func:`plan_rank`.  Arguments are as for :func:`plan_query`.
+    """
+    bound = columns(pattern_columns)
+    parent_counts = decomposition.parent_counts()
+    required = spec.columns if spec is not None else decomposition.covered_columns()
+
+    candidates: List[AnyPlan] = []
+    chain_plans: List[QueryPlan] = []
+    for path in decomposition.paths():
+        leaf_shared = parent_counts.get(id(path.leaf), 0) >= 2
+        plan = _chain_plan(path, bound, bound, leaf_shared, spec)
+        chain_plans.append(plan)
+        if path.covered >= required:
+            candidates.append(plan)
+
+    if spec is not None and allow_join:
+        candidates.extend(
+            _join_candidates(decomposition, bound, spec, chain_plans, parent_counts)
+        )
+
+    if not candidates and not chain_plans:
+        raise QueryPlanError(
+            f"decomposition {decomposition.name!r} has no root-to-leaf paths"
+        )
+    if not candidates:
+        raise QueryPlanError(
+            f"no valid plan answers a pattern over {format_columns(bound)} on "
+            f"decomposition {decomposition.name!r}: no single path covers "
+            f"{format_columns(required)} and no valid join combines the branches"
+        )
+    return candidates, chain_plans
+
+
+def plan_rank(
+    plan: AnyPlan,
+    order: int,
+    sizes: Optional[EdgeSizes] = None,
+    structures: Optional[EdgeStructures] = None,
+) -> tuple:
+    """The planner's rank of a candidate, lowest first; *order* is its
+    position in the candidate listing.
+
+    With *sizes*, ``(estimated cost, scans, kind, order)``: chains before
+    joins on ties.  Without, plans are ranked structurally, fewest scans
+    first, then the symbolic cost.  *structures* is as for
+    :meth:`QueryPlan.estimated_cost`.
+    """
+    kind = 1 if isinstance(plan, JoinPlan) else 0
+    if sizes is None:
+        return (plan.scan_count, plan.estimated_cost(structures=structures), kind, order)
+    return (plan.estimated_cost(sizes=sizes, structures=structures), plan.scan_count, kind, order)
+
+
 def plan_query(
     decomposition: Decomposition,
     pattern_columns: Union[str, Iterable[str]],
@@ -556,59 +642,25 @@ def plan_query(
         allow_join: set ``False`` to restrict the search to single-path
             plans (used e.g. to measure how much a join plan saves).
     """
-    bound = columns(pattern_columns)
-    parent_counts = decomposition.parent_counts()
-    required = spec.columns if spec is not None else decomposition.covered_columns()
+    candidates, chain_plans = candidate_plans(decomposition, pattern_columns, spec, allow_join)
 
-    candidates: List[AnyPlan] = []
-    chain_plans: List[QueryPlan] = []
-    for path in decomposition.paths():
-        leaf_shared = parent_counts.get(id(path.leaf), 0) >= 2
-        plan = _chain_plan(path, bound, bound, leaf_shared, spec)
-        chain_plans.append(plan)
-        if path.covered >= required:
-            candidates.append(plan)
+    def cheapest(plans: Sequence[AnyPlan]) -> AnyPlan:
+        return min(enumerate(plans), key=lambda item: plan_rank(item[1], item[0], sizes))[1]
 
-    if spec is not None and allow_join:
-        candidates.extend(
-            _join_candidates(decomposition, bound, spec, chain_plans, parent_counts)
-        )
-
-    if not candidates and not chain_plans:
-        raise QueryPlanError(
-            f"decomposition {decomposition.name!r} has no root-to-leaf paths"
-        )
-    if not candidates:
-        raise QueryPlanError(
-            f"no valid plan answers a pattern over {format_columns(bound)} on "
-            f"decomposition {decomposition.name!r}: no single path covers "
-            f"{format_columns(required)} and no valid join combines the branches"
-        )
-
-    def rank(indexed) -> tuple:
-        order, plan = indexed
-        kind = 1 if isinstance(plan, JoinPlan) else 0
-        if sizes is None:
-            return (plan.scan_count, plan.estimated_cost(), kind, order)
-        return (plan.estimated_cost(sizes=sizes), plan.scan_count, kind, order)
-
-    best = min(enumerate(candidates), key=rank)[1]
+    best = cheapest(candidates)
     if spec is not None:
         validate_plan(best, spec)
 
     if require_lookup:
-        lookup_only = [
-            (i, p)
-            for i, p in enumerate(chain_plans)
-            if p.scan_count == 0 and p.produced >= required
-        ]
+        required = spec.columns if spec is not None else decomposition.covered_columns()
+        lookup_only = [p for p in chain_plans if p.scan_count == 0 and p.produced >= required]
         if not lookup_only:
             raise QueryPlanError(
-                f"no lookup-only plan answers a pattern over {format_columns(bound)} "
-                f"on decomposition {decomposition.name!r}; best plan is "
-                f"{best.describe()}"
+                f"no lookup-only plan answers a pattern over "
+                f"{format_columns(columns(pattern_columns))} on decomposition "
+                f"{decomposition.name!r}; best plan is {best.describe()}"
             )
-        return min(lookup_only, key=rank)[1]
+        return cheapest(lookup_only)
     return best
 
 

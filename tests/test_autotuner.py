@@ -10,9 +10,13 @@ The property tests pin the acceptance criteria of the autotuner:
   covers (or beats) the shapes a developer would write.
 """
 
+from collections import Counter
+
 import pytest
 
-from benchmarks.workloads import WORKLOADS
+import repro
+import repro.autotuner.tuner as tuner_module
+from benchmarks.workloads import QUICK_SCALE, WORKLOADS
 from repro.autotuner import (
     Trace,
     TraceRecorder,
@@ -26,11 +30,18 @@ from repro.autotuner import (
     static_cost,
     synthesize,
 )
-from repro.autotuner.scorer import ScoredCandidate
+from repro.autotuner.enumerator import shape_skeleton
+from repro.autotuner.scorer import ScoredCandidate, estimate_edge_sizes
+from repro.autotuner.tuner import TIEBREAK_SIZE_SCALE
 from repro.core import ReferenceRelation, RelationSpec, Tuple, t
-from repro.core.errors import AutotunerError, FunctionalDependencyError
+from repro.core.errors import AdequacyError, AutotunerError, FunctionalDependencyError
 from repro.core.interface import RelationInterface
-from repro.decomposition import DecomposedRelation, is_adequate, parse_decomposition
+from repro.decomposition import (
+    DecomposedRelation,
+    is_adequate,
+    parse_decomposition,
+    plan_query,
+)
 
 SCHEDULER_PATTERNS = [frozenset({"ns", "pid"}), frozenset({"state"})]
 
@@ -309,6 +320,112 @@ class TestAutotune:
         text = scheduler_tuning.describe()
         assert "winner:" in text
         assert scheduler_tuning.winner_layout in text
+
+
+class TestShapePricing:
+    """The static phase plans each structure-free shape once and prices
+    every container assignment against it; the scores must be exactly
+    those of planning each candidate on its own."""
+
+    @pytest.fixture(
+        scope="class", params=["scheduler", "scheduler_churn", "graph_reverse"]
+    )
+    def tuned(self, request):
+        workload = WORKLOADS[request.param](QUICK_SCALE)
+        trace = Trace.from_workload(workload)
+        included = list(workload.hand_layouts().values())
+        result = autotune(workload.spec, trace, include=included)
+        return workload.spec, trace.profile(), result, included
+
+    def test_parsed_layouts_priced_against_enumerated_shapes(self, tuned):
+        """Hand layouts are parsed, not enumerated: priced against an
+        enumerated representative of their skeleton, their edges must line
+        up with the representative's."""
+        spec, profile, result, included = tuned
+        memo: dict = {}
+        for candidate in result.candidates:
+            if candidate.decomposition.name != "included":
+                static_cost(candidate.decomposition, profile, spec=spec, memo=memo)
+        shared = 0
+        for layout in included:
+            parsed = parse_decomposition(layout)
+            shared += shape_skeleton(parsed) in memo
+            for scale in (1.0, TIEBREAK_SIZE_SCALE):
+                assert static_cost(
+                    parsed, profile, size_scale=scale, spec=spec, memo=memo
+                ) == static_cost(parsed, profile, size_scale=scale, spec=spec), layout
+        assert shared
+
+    def test_static_scores_equal_planning_each_candidate_alone(self, tuned):
+        spec, profile, result, _ = tuned
+        counts = Counter(c.static for c in result.candidates)
+        for candidate in result.candidates:
+            decomposition = candidate.decomposition
+            assert candidate.static == static_cost(decomposition, profile, spec=spec)
+            if counts[candidate.static] > 1:  # The tie-break ran.
+                assert candidate.static_scaled == static_cost(
+                    decomposition, profile, size_scale=TIEBREAK_SIZE_SCALE, spec=spec
+                )
+            else:
+                assert candidate.static_scaled == candidate.static
+
+    def test_priced_plans_equal_the_planners_pick(self, tuned):
+        spec, profile, result, _ = tuned
+        memo: dict = {}
+        for candidate in result.candidates:
+            static_cost(candidate.decomposition, profile, spec=spec, memo=memo)
+        assert len(memo) < len(result.candidates)
+        for candidate in result.candidates:
+            decomposition = candidate.decomposition
+            shape = memo[shape_skeleton(decomposition)]
+            structures = shape.structures(decomposition)
+            sizes = estimate_edge_sizes(decomposition, profile)
+            for pattern in profile.pattern_columns():
+                plan = plan_query(decomposition, pattern, sizes=sizes, spec=spec)
+                priced = shape.plan_cost(pattern, structures, shape.sizes)
+                assert priced == plan.estimated_cost(sizes=sizes), (candidate.layout, pattern)
+
+
+class TestTunerPhases:
+    def test_each_phase_entry_point_is_called_per_candidate(self, monkeypatch):
+        """Traced benchmarks time the static phase by wrapping these three
+        names; a tuner that bypasses them would report a zero phase."""
+        calls = {"enumerate_decompositions": 0, "static_cost": 0, "exact_accesses": 0}
+        for name in calls:
+            original = getattr(tuner_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(tuner_module, name, counted)
+        workload = WORKLOADS["graph"](12)
+        result = autotune(
+            workload.spec,
+            Trace.from_workload(workload),
+            include=list(workload.hand_layouts().values()),
+        )
+        counts = Counter(c.static for c in result.candidates)
+        tie_broken = sum(n for n in counts.values() if n > 1)
+        assert tie_broken
+        assert calls == {
+            "enumerate_decompositions": 1,
+            "static_cost": len(result.candidates) + tie_broken,
+            "exact_accesses": len(result.replayed),
+        }
+
+    def test_inadequate_include_fails_before_enumeration(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated before checking the included layout")
+
+        monkeypatch.setattr(tuner_module, "enumerate_decompositions", never)
+        workload = WORKLOADS["graph"](12)
+        trace = Trace.from_workload(workload)
+        inadequate = "src -> htable {dst, weight}"
+        with pytest.raises(AdequacyError, match=r"src -> htable \{dst, weight\}"):
+            autotune(workload.spec, trace, include=[inadequate])
+        with pytest.raises(AdequacyError, match=r"src -> htable \{dst, weight\}"):
+            repro.open(workload.spec, inadequate, tune=trace)
 
 
 class TestSynthesize:
