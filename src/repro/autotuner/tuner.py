@@ -66,7 +66,10 @@ class TuningResult:
         candidates: every candidate considered (enumerated plus any
             ``include`` layouts) with its static score, ascending.  The
             replayed subset is chosen from the top of this ranking by a
-            shape-diverse beam, so it is not necessarily a prefix.
+            shape-diverse beam, so it is not necessarily a prefix.  A
+            :meth:`replayed_only` copy keeps just the replayed ones.
+        enumerated: how many candidates the search scored (the length of
+            the full ``candidates`` list).
         replayed: the exactly-replayed candidates, ascending by accesses.
         pareto: the Pareto front over (accesses, memory proxy).
         winner: the replayed candidate with the fewest accesses (ties break
@@ -79,6 +82,7 @@ class TuningResult:
         "spec",
         "trace",
         "candidates",
+        "enumerated",
         "replayed",
         "pareto",
         "winner",
@@ -98,6 +102,7 @@ class TuningResult:
         self.spec = spec
         self.trace = trace
         self.candidates = candidates
+        self.enumerated = len(candidates)
         self.replayed = replayed
         self.pareto = pareto
         self.winner = winner
@@ -129,10 +134,27 @@ class TuningResult:
             sizes=estimate_edge_sizes(self.winner.decomposition, self.trace.profile()),
         )
 
+    def replayed_only(self) -> "TuningResult":
+        """A copy whose ``candidates`` are cut to the replayed ones, in
+        ranking order, so the rest of the search can be freed; the spec,
+        trace, winner, replayed set, Pareto front and FD mode are shared."""
+        replayed = {id(c) for c in self.replayed}
+        kept = TuningResult(
+            self.spec,
+            self.trace,
+            [c for c in self.candidates if id(c) in replayed],
+            self.replayed,
+            self.pareto,
+            self.winner,
+            self.enforce_fds,
+        )
+        kept.enumerated = self.enumerated
+        return kept
+
     def describe(self) -> str:
         """A human-readable summary table (used by ``python -m repro.autotuner``)."""
         lines = [
-            f"spec {self.spec.name!r}: {len(self.candidates)} candidates enumerated, "
+            f"spec {self.spec.name!r}: {self.enumerated} candidates enumerated, "
             f"{len(self.replayed)} replayed exactly on {len(self.trace)} ops",
             f"{'accesses':>12}  {'memory':>6}  layout",
         ]

@@ -11,7 +11,8 @@ legal stored value).
 from __future__ import annotations
 
 from bisect import bisect_left as _bl
-from operator import itemgetter as _itemgetter
+from functools import partial as _partial
+from operator import is_not as _is_not, itemgetter as _itemgetter
 
 from ..core.interface import RelationInterface
 from ..core.relation import Relation
@@ -22,6 +23,9 @@ from ..structures.base import COUNTER as _C
 _MISS = object()
 _ig0 = _itemgetter(0)
 _ig1 = _itemgetter(1)
+#: ``_hit(x)`` is ``x is not None``: an identity test, where ``None in``
+#: a list of Tuples would run ``Tuple.__eq__`` against ``None`` per entry.
+_hit = _partial(_is_not, None)
 
 #: Entries an interning memo (a relation's value->Tuple ``_t_cache``, or one
 #: output projection's memo) may hold before a fill clears it.  The memos map
@@ -229,7 +233,7 @@ def bind_query_boundary(cls, cols, spec, plans, vplans, vcols):
                 rows = list(rows)
             tc = self._t_cache
             res = list(map(tc.get, rows))
-            if None in res:
+            if not all(map(_hit, res)):
                 if len(tc) >= INTERN_BOUND:
                     tc.clear()
                 mk = Tuple.from_sorted_items

@@ -17,12 +17,15 @@ which is how map decompositions index their children.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple as PyTuple
 
 from .errors import TupleError
 from .values import Value, ensure_value, value_sort_key
 
 __all__ = ["Tuple", "t"]
+
+_column_of = itemgetter(0)
 
 
 class Tuple(Mapping[str, Value]):
@@ -98,7 +101,7 @@ class Tuple(Mapping[str, Value]):
     @property
     def columns(self) -> frozenset:
         """``dom t`` — the set of columns of this tuple."""
-        return frozenset(c for c, _ in self._items)
+        return frozenset(map(_column_of, self._items))
 
     def is_valuation_of(self, columns: Iterable[str]) -> bool:
         """Return ``True`` if this tuple is a valuation for exactly *columns*."""

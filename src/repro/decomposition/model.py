@@ -198,10 +198,15 @@ class Decomposition:
         "_coverage",
         "_shape",
         "_skeleton",
+        "__weakref__",
     )
 
     #: Guard against pathological graphs: branching nodes multiply paths.
     MAX_PATHS = 64
+
+    #: The caches keyed by ``id(node)``.  A pickled or copied decomposition
+    #: has new node objects, so it rebuilds these rather than carry them.
+    _ID_KEYED = ("_node_bounds", "_parent_counts", "_coverage")
 
     def __init__(self, root: DecompNode, name: str = "decomposition"):
         if not isinstance(root, DecompNode):
@@ -215,6 +220,19 @@ class Decomposition:
         self._shape: Optional[str] = None
         self._skeleton: Optional[str] = None
         self._validate()
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {
+            slot: getattr(self, slot)
+            for slot in self.__slots__
+            if slot != "__weakref__" and slot not in self._ID_KEYED
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for slot in self._ID_KEYED:
+            setattr(self, slot, None)
+        for slot, value in state.items():
+            setattr(self, slot, value)
 
     # -- structural validation -------------------------------------------------
 

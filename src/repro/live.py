@@ -7,8 +7,8 @@ layout, compile, done.  This module closes the loop *online*:
   sampler: a decayed reservoir of concrete operations (the re-tune trace's
   tail) plus a sliding-window operation-mix histogram (the drift signal).
   Steady-state cost is O(1) per operation — one counter bump, one deque
-  append and one RNG draw — and O(capacity + window) memory, so profiling
-  can stay on in production;
+  append, one RNG draw and an amortized drift check — and O(capacity +
+  window) memory, so profiling can stay on in production;
 * :class:`RetunePolicy` — when to re-tune (a minimum operation count
   between tunings plus a total-variation drift threshold on the observed
   operation mix) and how an attempt is paced;
@@ -158,6 +158,10 @@ class SamplingTraceRecorder:
       counts — ``(kind, pattern columns)`` — compared against the mix at
       the last re-tune (:meth:`rebase`) by total-variation distance
       (:meth:`drift`), the re-tune policy's drift signal.
+      :meth:`drift_at_least` answers the policy's question — has the drift
+      reached a threshold? — recomputing the distance only when it can
+      have, so while the drift stays clear of the threshold the check
+      costs O(1) amortized per operation.
 
     The RNG is seeded, so a seeded workload produces a deterministic sample
     (and deterministic re-tune decisions — the property the differential
@@ -174,6 +178,9 @@ class SamplingTraceRecorder:
         "_recent",
         "_recent_counts",
         "_baseline_mix",
+        "_randbelow",
+        "_quiet_until",
+        "_quiet_threshold",
     )
 
     def __init__(
@@ -198,6 +205,13 @@ class SamplingTraceRecorder:
         self._recent: Deque[PyTuple] = deque(maxlen=window)
         self._recent_counts: Dict[PyTuple, int] = {}
         self._baseline_mix: Optional[Dict[PyTuple, float]] = None
+        #: ``randrange(n)`` draws exactly this for ``n >= 1``, minus its
+        #: argument checks.
+        self._randbelow = self._rng._randbelow
+        #: Through observed operation ``_quiet_until`` the drift is known to
+        #: stay below ``_quiet_threshold`` (see :meth:`drift_at_least`).
+        self._quiet_until = -1
+        self._quiet_threshold: Optional[float] = None
 
     # -- observation (the O(1) hot path) ----------------------------------------
 
@@ -221,7 +235,7 @@ class SamplingTraceRecorder:
         if len(reservoir) < self.capacity:
             reservoir.append((self._seen, op))
         else:
-            slot = self._rng.randrange(min(self._seen, self.horizon))
+            slot = self._randbelow(min(self._seen, self.horizon))
             if slot < self.capacity:
                 reservoir[slot] = (self._seen, op)
 
@@ -257,9 +271,34 @@ class SamplingTraceRecorder:
             abs(recent.get(k, 0.0) - self._baseline_mix.get(k, 0.0)) for k in keys
         )
 
+    def drift_at_least(self, threshold: float) -> Optional[float]:
+        """:meth:`drift` if it has reached *threshold*, else ``None``.
+
+        One observed operation moves the window mix, and so the drift, by
+        at most ``1/n`` for a window of ``n`` operations, and ``n`` never
+        shrinks.  So a drift ``d`` found below *threshold* stays below it
+        for the next ``⌊(threshold − d)·n⌋ − 1`` operations, which skip the
+        recomputation; a :meth:`rebase` or another threshold ends the skip.
+        The ``− 1`` keeps a margin of ``1/n``, far above float rounding, so
+        the answer is always that of ``drift() >= threshold``, and a drift
+        returned is ``drift()``'s own value.
+        """
+        if self._seen <= self._quiet_until and threshold == self._quiet_threshold:
+            return None
+        drift = self.drift()
+        if drift >= threshold:
+            return drift
+        # (threshold − d)·n <= n unless threshold > 1, which a total-variation
+        # distance never reaches; the cap also keeps an infinite one finite.
+        slack = min(self.window, (threshold - drift) * len(self._recent))
+        self._quiet_until = self._seen + int(slack) - 1
+        self._quiet_threshold = threshold
+        return None
+
     def rebase(self) -> None:
         """Adopt the current window mix as the drift baseline (post-tune)."""
         self._baseline_mix = self.recent_mix()
+        self._quiet_until = -1
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -397,6 +436,9 @@ class RetuneReport:
         self.migrated = 0
         self.dual_write = False
         self.generation: Optional[int] = None
+        #: The search's result, its candidates cut to the replayed set
+        #: (:meth:`TuningResult.replayed_only`): the full list would keep
+        #: every scored layout alive as long as the report.
         self.tuning: Optional[TuningResult] = None
         #: Failure description when the attempt died (``None`` on success).
         self.error: Optional[str] = None
@@ -526,9 +568,10 @@ class LiveRelation(RelationInterface):
     def live_stats(self) -> Dict[str, object]:
         """Operational counters: sampling overhead is bounded by these.
 
-        Per observed operation the facade pays one histogram update and one
+        Per observed operation the facade pays one histogram update, one
         RNG draw (plus one reservoir slot write with probability
-        ``capacity / min(seen, horizon)``); memory is bounded by
+        ``capacity / min(seen, horizon)``) and an amortized drift check
+        (:meth:`SamplingTraceRecorder.drift_at_least`); memory is bounded by
         ``capacity`` sampled operations plus a ``window``-length mix
         window.  No container access is charged — the sampled numbers the
         benchmark gates compare are untouched by sampling.
@@ -639,6 +682,12 @@ class LiveRelation(RelationInterface):
         """Mirror one completed mutation into an open dual-write window,
         sample the operation, then advance the control loop.
 
+        The steady state pays the sample and a few attribute tests: with no
+        attempt in flight, :meth:`maybe_retune` runs only once the circuit
+        is closed, the ``min_ops``/backoff floor is reached and the drift
+        can have reached the threshold (outside the sampler's skip, see
+        :meth:`SamplingTraceRecorder.drift_at_least`).
+
         Never raises on behalf of the control loop: the caller's operation
         already succeeded on the primary backing, so a failed stage of an
         attempt in flight is recorded rather than surfaced through an
@@ -646,11 +695,24 @@ class LiveRelation(RelationInterface):
         """
         if self._attempt is not None and op[0] not in ("query", "range"):
             self._advance(self._attempt, write=op)
-        self._ops_since_tune += 1
-        self.sampler.observe(op)
+        ops = self._ops_since_tune = self._ops_since_tune + 1
+        sampler = self.sampler
+        sampler.observe(op)
         if self._attempt is not None:
             self._advance(self._attempt)
-        elif self.policy.auto:
+            return
+        policy = self.policy
+        streak = self._consecutive_failures
+        if (
+            policy.auto
+            and streak < _CIRCUIT_FAILURES
+            and ops >= policy.min_ops
+            and (not streak or ops >= self._backoff_ops())
+            and (
+                sampler._seen > sampler._quiet_until
+                or sampler._quiet_threshold != policy.drift_threshold
+            )
+        ):
             self.maybe_retune()
 
     # -- the re-tune loop --------------------------------------------------------
@@ -671,8 +733,8 @@ class LiveRelation(RelationInterface):
         ops = self._ops_since_tune
         if ops < self.policy.min_ops or ops < self._backoff_ops():
             return None
-        drift = self.sampler.drift()
-        if drift < self.policy.drift_threshold:
+        drift = self.sampler.drift_at_least(self.policy.drift_threshold)
+        if drift is None:
             return None
         reason = (
             "warm-up tune (no baseline mix yet)"
@@ -954,7 +1016,6 @@ class LiveRelation(RelationInterface):
         itself succeeded.  After a ``True`` pick, ``tuning.winner`` is it.
         """
         report, tuning = attempt.report, attempt.tuning
-        report.tuning = tuning
         # The tune consumed this window: future drift is measured against it.
         self.sampler.rebase()
         horizon, self._ops_since_tune = self._ops_since_tune, 0
@@ -969,11 +1030,13 @@ class LiveRelation(RelationInterface):
                 cur_accesses = candidate.accesses
             if winner is None and (shape == current_shape or shape not in self._quarantined):
                 winner = candidate
+        if winner is not None:
+            # compile_winner() compiles `.winner`: promote the pick, which
+            # differs when quarantine displaced the access-count winner.
+            tuning.winner = winner
+        report.tuning = tuning.replayed_only()
         if winner is None:
             return False  # everything the search surfaced has failed before
-        # compile_winner() compiles `.winner`: promote the pick, which
-        # differs when quarantine displaced the access-count winner.
-        tuning.winner = winner
         if canonical_shape(winner.decomposition) == current_shape:
             return False
         if cur_accesses is not None and winner.accesses is not None:

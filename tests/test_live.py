@@ -9,9 +9,11 @@ class, and the facade's contents match a ``ReferenceRelation`` mirror after
 every single operation — FD-on and FD-off.
 """
 
+import gc
 import math
 import random
 import threading
+import weakref
 
 import pytest
 
@@ -133,6 +135,111 @@ class TestSamplingTraceRecorder:
             SamplingTraceRecorder(capacity=0)
         with pytest.raises(LiveRelationError):
             SamplingTraceRecorder(capacity=16, horizon=8)
+
+
+# -- the drift check's skip ------------------------------------------------------
+
+
+class CountingSampler(SamplingTraceRecorder):
+    """Counts the drift recomputations its checks make."""
+
+    recomputed = 0
+
+    def drift(self):
+        self.recomputed += 1
+        return super().drift()
+
+
+class RecomputingSampler(SamplingTraceRecorder):
+    """A sampler whose drift check recomputes at every call (no skip)."""
+
+    def drift_at_least(self, threshold):
+        drift = self.drift()
+        return drift if drift >= threshold else None
+
+
+SRC_QUERY = ("query", t(src=1), None)
+DST_QUERY = ("query", t(dst=1), None)
+WEIGHT_QUERY = ("query", t(weight=1), None)
+WEIGHT_RANGE = ("range", "weight", 0, 1)
+INSERT = ("insert", t(src=1, dst=1, weight=1))
+
+
+def mixed(rng, weights):
+    """One operation drawn from *weights*: ``[(op, share), ...]``."""
+    roll = rng.random()
+    for op, share in weights:
+        if roll < share:
+            return op
+        roll -= share
+    return weights[-1][0]
+
+
+class TestDriftSkip:
+    """``drift_at_least`` must answer exactly as ``drift() >= threshold``
+    at every operation, however long it skips the recomputation."""
+
+    @pytest.mark.parametrize("window", [8, 64, 512])
+    @pytest.mark.parametrize("threshold", [0.05, 0.25, 0.5])
+    def test_matches_brute_force_at_every_operation(self, window, threshold):
+        rng = random.Random(window * 1000 + int(threshold * 100))
+        sampler = CountingSampler(capacity=8, horizon=64, window=window, seed=3)
+        forward = [(SRC_QUERY, 0.6), (INSERT, 0.3), (DST_QUERY, 0.1)]
+        reverse = [(DST_QUERY, 0.7), (INSERT, 0.2), (SRC_QUERY, 0.1)]
+        # (operations, mix, threshold, rebase first?): rebase while the
+        # window still fills, drift away, rebase on a full window, then flip
+        # to keys the baseline never saw — each such operation moves the
+        # drift by exactly 1/window — once under a threshold lowered
+        # mid-skip and once after another rebase.  A steady stretch ends
+        # in a rebase that lands mid-skip.
+        phases = [
+            (window // 2, forward, threshold, False),
+            (0, forward, threshold, True),
+            (2 * window, forward, threshold, False),
+            (2 * window, reverse, threshold, False),
+            (window, reverse, threshold, True),
+            (window, [(WEIGHT_QUERY, 1.0)], threshold / 2, False),
+            (window, [(WEIGHT_RANGE, 1.0)], threshold, True),
+            (window, forward, threshold, True),
+            (window, forward, threshold, True),
+            (0, forward, threshold, True),
+        ]
+        crossings = 0
+        for length, mix, theta, rebase in phases:
+            if rebase:
+                sampler.rebase()
+                before = sampler.recomputed
+                sampler.drift_at_least(theta)
+                assert sampler.recomputed == before + 1, "a skip survived rebase()"
+            for _ in range(length):
+                sampler.observe(mixed(rng, mix))
+                got = sampler.drift_at_least(theta)
+                want = SamplingTraceRecorder.drift(sampler)
+                if want >= theta:
+                    crossings += 1
+                    assert got == want, (sampler.seen, got, want)
+                else:
+                    assert got is None, (sampler.seen, got, want)
+        assert crossings  # the stream does cross
+
+    def test_a_new_threshold_ends_the_skip(self):
+        sampler = SamplingTraceRecorder(window=64)
+        for _ in range(64):
+            sampler.observe(SRC_QUERY)
+        sampler.rebase()
+        assert sampler.drift_at_least(0.5) is None  # skips the next 31 ops
+        for _ in range(4):
+            sampler.observe(DST_QUERY)
+        assert sampler.drift_at_least(0.5) is None
+        assert sampler.drift_at_least(0.0625) == sampler.drift() == 0.0625
+
+    def test_infinite_threshold_is_never_reached(self):
+        sampler = SamplingTraceRecorder(window=8)
+        assert sampler.drift_at_least(math.inf) == math.inf  # no baseline yet
+        sampler.rebase()
+        for _ in range(40):
+            sampler.observe(DST_QUERY)
+            assert sampler.drift_at_least(math.inf) is None
 
 
 # -- the acceptance differential --------------------------------------------------
@@ -325,6 +432,108 @@ class TestRetune:
         live.finish_migration()
         assert report.dual_write
         assert report.swapped
+
+
+# -- the control loop's cost, and what a report keeps -----------------------------
+
+
+def report_record(report):
+    return (
+        report.op_index,
+        report.reason,
+        report.drift,
+        report.swapped,
+        report.migrated,
+        report.new_layout,
+        report.guard,
+    )
+
+
+@pytest.mark.parametrize("enforce_fds", [True, False], ids=["fd-on", "fd-off"])
+def test_drift_skip_changes_no_decision(enforce_fds):
+    """The 1,000-op drifting run re-tunes identically whether the drift
+    check skips or recomputes at every operation."""
+    runs = []
+    for sampler_class in (SamplingTraceRecorder, RecomputingSampler):
+        live = open_relation(
+            EDGE_SPEC,
+            FORWARD_LAYOUT,
+            live=True,
+            enforce_fds=enforce_fds,
+            policy={"min_ops": 150, "drift_threshold": 0.25},
+            sampler=sampler_class(seed=11),
+        )
+        for op in drifting_workload(1000, fd_off=not enforce_fds):
+            try:
+                apply_op(live, op)
+            except FunctionalDependencyError:
+                pass  # refused alike in both runs
+        runs.append([report_record(r) for r in live.retunes])
+    assert runs[0] == runs[1]
+    assert any(record[1].startswith("mix drift") for record in runs[0])
+
+
+def graph_relation(rng, **open_args):
+    """A live relation holding a 96-edge graph: 48 nodes, out-degree 2."""
+    live = open_relation(EDGE_SPEC, FORWARD_LAYOUT, live=True, **open_args)
+    for src in range(48):
+        for dst in rng.sample(range(48), 2):
+            live.insert(t(src=src, dst=dst, weight=rng.randrange(100)))
+    return live
+
+
+def test_steady_stream_rarely_recomputes_the_drift():
+    """After the warm-up tune, a steady mix recomputes the drift on a small
+    share of operations instead of on every one."""
+    rng = random.Random(2)
+    sampler = CountingSampler()
+    live = graph_relation(rng, sampler=sampler)
+
+    def step():
+        if rng.random() < 0.8:
+            live.query(t(src=rng.randrange(48)), "dst, weight")
+        else:
+            live.update(t(src=rng.randrange(48)), t(weight=rng.randrange(100)))
+
+    while not live.retunes:
+        step()  # the warm-up tune
+    before = sampler.recomputed
+    for _ in range(5000):
+        step()
+    assert len(live.retunes) == 1
+    assert sampler.recomputed - before < 250  # under 5% of the operations
+
+
+def test_report_keeps_only_the_replayed_candidates(monkeypatch):
+    """A re-tune report keeps the replayed candidates, not every layout the
+    search scored: the rest are freed once the attempt ends."""
+    refs = []
+    real_autotune = live_module.autotune
+
+    def watched(*args, **kwargs):
+        tuning = real_autotune(*args, **kwargs)
+        replayed = {id(c) for c in tuning.replayed}
+        refs.extend((weakref.ref(c.decomposition), id(c) in replayed) for c in tuning.candidates)
+        return tuning
+
+    monkeypatch.setattr(live_module, "autotune", watched)
+    rng = random.Random(3)
+    live = graph_relation(rng, policy={"auto": False})
+    for _ in range(200):
+        live.query(t(dst=rng.randrange(48)), "src, weight")
+    report = live.retune()
+    gc.collect()
+    tuning = report.tuning
+    assert tuning is not None and len(tuning.trace) > len(live)
+    assert len(refs) > len(tuning.replayed)
+    assert all(replayed for ref, replayed in refs if ref() is not None)
+    replayed = {id(c) for c in tuning.replayed}
+    assert {id(c) for c in tuning.candidates} == replayed
+    assert id(tuning.winner) in replayed
+    assert {id(c) for c in tuning.pareto} <= replayed
+    assert tuning.describe().startswith(
+        f"spec 'edge': {len(refs)} candidates enumerated, {len(tuning.replayed)} replayed"
+    )
 
 
 # -- the facade contract -----------------------------------------------------------

@@ -17,6 +17,8 @@ The tentpole guarantees, each pinned here:
   where a parent holds the record by reference.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -113,6 +115,29 @@ class TestParserSharing:
         rec_a = again.root.edges[0].child.edges[0].child
         rec_b = again.root.edges[1].child.edges[0].child
         assert rec_a is rec_b
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_rebuild_their_node_caches(self, copy_of):
+        """A copy has new node objects, so the caches keyed by ``id(node)``
+        must not travel with it: it answers like a fresh parse."""
+        d = parse_decomposition(SHARED)
+        d.node_coverage()
+        d.parent_counts()
+        d.node_bounds()
+        again = copy_of(d)
+        fresh = parse_decomposition(SHARED)
+        assert [again.edge_coverage(e) for e in again.edges()] == [
+            fresh.edge_coverage(e) for e in fresh.edges()
+        ]
+        rec = again.root.edges[0].child.edges[0].child
+        assert rec is again.root.edges[1].child.edges[0].child
+        assert again.parent_counts()[id(rec)] == 2
+        assert again.shared_nodes() == [rec]
+        assert again.shared_bound(rec) == fresh.shared_bound(fresh.shared_nodes()[0])
 
     def test_plain_layouts_have_no_where_clause(self):
         d = parse_decomposition(COPIED)
