@@ -29,7 +29,11 @@ The claims:
 * ``prior_pin`` — summed compiled medians beat the prior pin's by at least
   3.0x over the workloads both share.  Skipped when the modes differ:
   quick-mode traces are shorter, so their medians are not comparable.
-* ``sharing``, ``join`` and ``retune`` — the rows of :data:`CLAIMS`.
+* ``sharing``, ``join``, ``retune`` and ``scorer`` — the rows of
+  :data:`CLAIMS`.  ``scorer`` holds when, on every workload, the
+  autotuner's exact replay of the primary hand layout counts what the
+  interpreted tier's replay through the public API counts: the scorer's
+  result-free reads make exactly the public reads' container calls.
 """
 
 from __future__ import annotations
@@ -55,6 +59,17 @@ class Field(str):
 
 _CHURN = "workloads.scheduler_churn.autotuned.hand_written."
 
+#: The workloads of a report: ``python -m benchmarks`` runs all seven.
+WORKLOADS = (
+    "graph",
+    "graph_drift",
+    "graph_reverse",
+    "ordered_scan",
+    "scheduler",
+    "scheduler_churn",
+    "spanning",
+)
+
 #: ``(claim, report field, comparison, bound or Field)``.  A claim passes
 #: when all of its rows hold; a missing field fails its row.
 CLAIMS = [
@@ -78,6 +93,16 @@ CLAIMS = [
     ("retune", "retune.new_layout", "!=", Field("retune.old_layout")),
     ("retune", "retune.new_tail_accesses", ">", 0),
     ("retune", "retune.new_tail_accesses", "<", Field("retune.old_tail_accesses")),
+    # §5: the scorer counts the primary hand layout's replay as the
+    # interpreted tier's public replay of the same trace does.
+] + [
+    (
+        "scorer",
+        f"workloads.{name}.autotuned.hand_written.primary.accesses",
+        "==",
+        Field(f"workloads.{name}.tiers.interpreted.accesses"),
+    )
+    for name in WORKLOADS
 ]
 
 _OPS = {
@@ -101,8 +126,15 @@ def _field(report: dict, path: str):
 
 def _show(value, path: str = "") -> str:
     shown = f"{value:,d}" if isinstance(value, int) and not isinstance(value, bool) else repr(value)
-    # The last two path components name a field unambiguously within a claim.
-    return f"{'.'.join(path.split('.')[-2:])}={shown}" if path else shown
+    if not path:
+        return shown
+    # The last two path components name a field within a claim; a field of
+    # one workload also names the workload.
+    parts = path.split(".")
+    label = ".".join(parts[-2:])
+    if parts[0] == "workloads":
+        label = f"{parts[1]}/{label}"
+    return f"{label}={shown}"
 
 
 def check_row(report: dict, field: str, op: str, bound) -> "tuple[bool, str]":

@@ -103,8 +103,9 @@ def make_tier(tier: str, workload: Workload) -> RelationInterface:
 def replay(relation: RelationInterface, trace: List[tuple]) -> int:
     """Apply every operation of *trace* to *relation*; returns the op count.
 
-    Delegates to the autotuner's shared loop so harness access counts and
-    autotuner scores stay comparable by construction.
+    Delegates to the autotuner's public replay loop.  The autotuner's own
+    exact replay builds no read results; that its scores equal these
+    counts is checked by the ``scorer`` claim of ``benchmarks/check.py``.
     """
     return replay_operations(relation, trace)
 

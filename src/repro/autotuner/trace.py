@@ -211,11 +211,14 @@ class Trace:
                 key = (cols, coerce_tuple(op[2]).columns)
                 profile.update_changes[key] = profile.update_changes.get(key, 0) + 1
             elif kind == "range":
-                # A range scan is charged like an unbound query (the generic
-                # fallback IS a filtered full scan) — uniform across
-                # candidates, so static ranking is unaffected; the exact
-                # replay phase rewards layouts whose ordered index serves
-                # the range by bounded descent.
+                # A range scan is charged as an unbound query, the filtered
+                # full scan of the generic fallback.  That plan's cost
+                # differs per candidate (on perfbench's seed-1 ``events_tune``
+                # training trace, 81 per range read on
+                # ``ts -> avl {reading, sensor}`` and 167 on
+                # ``reading -> htable sensor, ts -> vector {}``), and no
+                # candidate is priced for an ordered index's bounded
+                # descent; the exact replay phase rewards that descent.
                 profile.queries[frozenset()] = profile.queries.get(frozenset(), 0) + 1
             else:  # query
                 cols = coerce_tuple(op[1]).columns
@@ -232,10 +235,12 @@ class Trace:
 def replay_operations(relation: RelationInterface, operations: List[Operation]) -> int:
     """Apply raw ``(kind, *args)`` operations to *relation*; return the count.
 
-    The single replay loop shared by :func:`replay_trace` and
-    ``benchmarks.harness.replay``, so the access counts the autotuner scores
-    against are comparable with the benchmark harness's numbers by
-    construction rather than by hand-synchronised copies.
+    The replay loop of :func:`replay_trace` and ``benchmarks.harness.replay``.
+    The autotuner's exact replay
+    (:func:`~repro.autotuner.scorer.exact_accesses`) runs its own loop,
+    whose reads build no result; that its counts equal this loop's on the
+    interpreted tier is checked by the ``scorer`` claim of
+    ``benchmarks/check.py`` and by ``tests/test_autotuner.py``.
     """
     insert = relation.insert
     remove = relation.remove

@@ -391,7 +391,7 @@ class _RelationCompiler:
         construction charges the same accesses while skipping the per-row
         resume cost of the generator protocol."""
         em = self.em
-        em.line("en = _C.enabled")
+        em.line("en = _C.enabled and _C.owner == _gi()")
         em.line("out = []")
         em.line("ap = out.append")
         self._chain_return = "return out"
@@ -645,7 +645,7 @@ class _RelationCompiler:
             ),
             fresh=True,
         ):
-            em.line("en = _C.enabled")
+            em.line("en = _C.enabled and _C.owner == _gi()")
             exprs, opened_loops = self._emit_chain(path, steps, {}, in_loop=False)
             em.line("yield " + self._tuple_literal([exprs[c] for c in out_cols]))
             em.pop(opened_loops)
@@ -909,7 +909,7 @@ class _RelationCompiler:
             for fd in self.spec.fds
         )
         em.lines(
-            "from repro.codegen.runtime import _L, _MISS, _l_del_j, _l_get, _l_put_j, _undo",
+            "from repro.codegen.runtime import _L, _MISS, _gi, _l_del_j, _l_get, _l_put_j, _undo",
             "from repro.codegen.runtime import CompiledRelation, bind_query_boundary",
             "from repro.core.errors import FunctionalDependencyError, WellFormednessError",
             "from repro.core.fd import FunctionalDependency",
@@ -1037,7 +1037,7 @@ class _RelationCompiler:
             "journal to enlist in an enclosing operation's rollback.",
             fresh=True,
         ):
-            em.line("en = _C.enabled")
+            em.line("en = _C.enabled and _C.owner == _gi()")
             em.line("_fa = _F.active")
             em.line(f"{self._row_unpack()} = row")
             self._emit_presence_check()
@@ -1095,7 +1095,7 @@ class _RelationCompiler:
             "path first.",
             fresh=True,
         ):
-            em.line("en = _C.enabled")
+            em.line("en = _C.enabled and _C.owner == _gi()")
             em.line("_fa = _F.active")
             pvars = self._pattern_vars(pattern.cols)
             for col, var in pvars.items():
@@ -1120,7 +1120,7 @@ class _RelationCompiler:
             "the same journal discipline as _insert_row.",
             fresh=True,
         ):
-            em.line("en = _C.enabled")
+            em.line("en = _C.enabled and _C.owner == _gi()")
             em.line("_fa = _F.active")
             em.line(f"{self._row_unpack()} = row")
             em.line("removed = False")
@@ -1266,7 +1266,7 @@ class _RelationCompiler:
             "safety.",
             fresh=True,
         ):
-            em.line("en = _C.enabled")
+            em.line("en = _C.enabled and _C.owner == _gi()")
             em.line("_fa = _F.active")
             em.line("victims = list(self._query_rows(p))")
             em.line("if not victims:")
@@ -1398,7 +1398,7 @@ class _RelationCompiler:
             "constant-factor device, not a counted-cost one.",
             fresh=True,
         ):
-            em.line("en = _C.enabled")
+            em.line("en = _C.enabled and _C.owner == _gi()")
             em.line(f"c0 = {cexpr}")
             em.line("if en:")
             with em.indent():

@@ -5,7 +5,8 @@ the unrolled mutators, the per-pattern query methods and the dispatch
 tables.  Everything that reads the same for every layout lives here as
 ordinary Python, imported by each generated module under the names the
 emitted code uses (``_MISS`` is the missing-entry sentinel: ``None`` is a
-legal stored value).
+legal stored value; ``_gi`` names the current thread, since only the thread
+that owns the counter charges it).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left as _bl
 from functools import partial as _partial
 from operator import is_not as _is_not, itemgetter as _itemgetter
+from threading import get_ident as _gi
 
 from ..core.interface import RelationInterface
 from ..core.relation import Relation
@@ -69,7 +71,7 @@ class _L(list):
 # maintain the side index and append one uncounted journal entry per
 # mutation so the emitted rollback blocks can restore the entry exactly.
 def _l_get(c, k):
-    if _C.enabled:
+    if _C.enabled and _C.owner == _gi():
         n = 0
         for e in c:
             n += 1
@@ -83,7 +85,7 @@ def _l_get(c, k):
 
 
 def _l_put_j(c, k, v, j):
-    if _C.enabled:
+    if _C.enabled and _C.owner == _gi():
         n = 0
         for e in c:
             n += 1
@@ -106,7 +108,7 @@ def _l_put_j(c, k, v, j):
 
 
 def _l_del_j(c, k, j):
-    if _C.enabled:
+    if _C.enabled and _C.owner == _gi():
         n = 0
         for i, e in enumerate(c):
             n += 1

@@ -45,11 +45,15 @@ search enumerate candidate chains through one shared helper,
 (:func:`candidate_plans`) and picks the lowest by :func:`plan_rank` — the
 listing and the rank the autotuner's static scorer also prices each
 container assignment of a shape with.  :func:`execute_plan` runs any plan
-of the IR against a :class:`~repro.decomposition.instance.DecompositionInstance`.
+of the IR against a :class:`~repro.decomposition.instance.DecompositionInstance`
+through one eager chain walker (:func:`walk_chain`), which either collects
+the rows or, for the autotuner's exact replay, only makes the container
+calls (:func:`walk_plan`).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple as PyTuple, Union
 
 from ..core.columns import ColumnSet, columns, format_columns
@@ -92,6 +96,9 @@ EdgeSizes = Mapping[MapEdge, float]
 #: the autotuner prices one shape's plans under each container assignment
 #: of that shape (see :func:`repro.autotuner.scorer.static_cost`).
 EdgeStructures = Mapping[MapEdge, str]
+
+#: Runs an iterator to its end at C speed, keeping nothing.
+_drain = deque(maxlen=0).extend
 
 
 class LookupStep:
@@ -763,7 +770,8 @@ def converging_plans(
 def execute_plan(
     plan: AnyPlan, instance: DecompositionInstance, pattern: Tuple
 ) -> Iterator[Tuple]:
-    """Run *plan* against *instance*, yielding the full matching tuples.
+    """Run *plan* against *instance*; return an iterator over the full
+    matching tuples.
 
     Chain plans walk their path with the pattern as context; join plans
     evaluate the build chain, then either re-walk the probe chain per build
@@ -771,6 +779,30 @@ def execute_plan(
     the probe chain once and match through a temporary hash table
     (``style == "hash"``, charged one counted access per temporary insert
     and probe, mirroring the compiled tier).
+
+    Eager: every row is collected by :func:`walk_plan` before the first is
+    returned.  The container calls are the ones a lazy walk makes when
+    drained, and the rows come in the same depth-first order.
+    """
+    rows: List[Tuple] = []
+    walk_plan(plan, instance, pattern, rows)
+    return iter(rows)
+
+
+def walk_plan(
+    plan: AnyPlan,
+    instance: DecompositionInstance,
+    pattern: Tuple,
+    rows: Optional[List[Tuple]] = None,
+) -> None:
+    """Walk *plan* over *instance*, appending the full matching tuples to
+    *rows*.
+
+    Without *rows* the walk makes exactly the container calls and
+    temporary-hash charges of a collecting walk and builds no tuple: the
+    exact replay of :func:`~repro.autotuner.scorer.exact_accesses` counts a
+    read without paying for its result.  A join still collects both sides,
+    since the probe side is bound by the build side's rows.
     """
     if not plan.pattern_columns <= pattern.columns:
         raise QueryPlanError(
@@ -779,55 +811,111 @@ def execute_plan(
             f"planned columns"
         )
     if isinstance(plan, JoinPlan):
-        yield from _execute_join(plan, instance, pattern)
-        return
-    yield from _execute(plan, 0, instance.root, Tuple.empty(), pattern)
+        _walk_join(plan, instance, pattern, [] if rows is None else rows)
+    elif rows is None:
+        walk_chain(plan.steps, pattern, [instance.root])
+    else:
+        walk_chain(plan.steps, pattern, [instance.root], [Tuple.empty()], rows)
 
 
-def _execute_join(
-    plan: JoinPlan, instance: DecompositionInstance, pattern: Tuple
-) -> Iterator[Tuple]:
-    build_rows = _execute(plan.build, 0, instance.root, Tuple.empty(), pattern)
+def _walk_join(
+    plan: JoinPlan, instance: DecompositionInstance, pattern: Tuple, rows: List[Tuple]
+) -> None:
+    root, empty = [instance.root], [Tuple.empty()]
+    build_rows: List[Tuple] = []
+    walk_chain(plan.build.steps, pattern, root, empty, build_rows)
     if plan.style == "probe":
         for left in build_rows:
-            context = pattern.merge(left)
-            for right in _execute(plan.probe, 0, instance.root, Tuple.empty(), context):
-                yield left.merge(right)
+            probe_rows: List[Tuple] = []
+            walk_chain(plan.probe.steps, pattern.merge(left), root, empty, probe_rows)
+            rows.extend(left.merge(right) for right in probe_rows)
         return
     on = sorted(plan.on)
     table: dict = {}
     for left in build_rows:
         COUNTER.count_access()  # Temporary-hash insert.
         table.setdefault(left.project(on), []).append(left)
-    for right in _execute(plan.probe, 0, instance.root, Tuple.empty(), pattern):
+    probe_rows = []
+    walk_chain(plan.probe.steps, pattern, root, empty, probe_rows)
+    for right in probe_rows:
         COUNTER.count_access()  # Temporary-hash probe.
-        for left in table.get(right.project(on), ()):
-            yield left.merge(right)
+        rows.extend(left.merge(right) for left in table.get(right.project(on), ()))
 
 
-def _execute(
-    plan: QueryPlan,
-    depth: int,
-    instance: NodeInstance,
-    binding: Tuple,
+def walk_chain(
+    steps: Sequence[PlanStep],
     pattern: Tuple,
-) -> Iterator[Tuple]:
-    if depth == len(plan.steps):
-        if instance.unit_value is None:
-            # An empty unit represents no tuple.
+    nodes: List[NodeInstance],
+    bindings: Optional[List[Tuple]] = None,
+    rows: Optional[List[Tuple]] = None,
+) -> None:
+    """Walk *steps* down from *nodes*, one level at a time.
+
+    A lookup step probes each node's container with the pattern's value of
+    the step's key; a scan step visits every entry and descends where the
+    key matches the pattern.  The key is tested only when it shares a
+    column with the pattern: otherwise it matches trivially.
+
+    With *rows*, *bindings* holds each node's bound tuple, keys are merged
+    into the bindings as the walk descends, and each unit leaf whose merged
+    tuple matches *pattern* is appended to *rows*.  Each level keeps its
+    parents' order, so the rows come in depth-first order.  That last check
+    on the merged tuple is what turns away a NaN pattern value that a
+    lookup found by identity.  Without *rows* the walk makes the same
+    container calls but merges no binding and builds no row.  It does not
+    visit the leaves, which hold no container, so a last scan step only
+    drains its containers: which of their entries match no longer matters.
+    """
+    columns_bound = pattern.columns
+    last = len(steps) - 1
+    for depth, step in enumerate(steps):
+        if not nodes:
             return
-        result = binding.merge(instance.unit_value)
-        if result.matches(pattern):
-            yield result
+        index = step.edge_index
+        if rows is None and depth == last and type(step) is ScanStep:
+            for node in nodes:
+                _drain(node.containers[index].items())
+            return
+        found: List[NodeInstance] = []
+        if type(step) is LookupStep:
+            key = pattern.project(step.edge.key)
+            if rows is None:
+                for node in nodes:
+                    child = node.containers[index].lookup(key)
+                    if child is not MISSING:
+                        found.append(child)
+            else:
+                merged: List[Tuple] = []
+                for node, binding in zip(nodes, bindings):
+                    child = node.containers[index].lookup(key)
+                    if child is not MISSING:
+                        found.append(child)
+                        merged.append(binding.merge(key))
+                bindings = merged
+        else:
+            test = not step.edge.key.isdisjoint(columns_bound)
+            if rows is None:
+                for node in nodes:
+                    for entry_key, child in node.containers[index].items():
+                        if test and not entry_key.matches(pattern):
+                            continue
+                        found.append(child)
+            else:
+                merged = []
+                for node, binding in zip(nodes, bindings):
+                    for entry_key, child in node.containers[index].items():
+                        if test and not entry_key.matches(pattern):
+                            continue
+                        found.append(child)
+                        merged.append(binding.merge(entry_key))
+                bindings = merged
+        nodes = found
+    if rows is None:
         return
-    step = plan.steps[depth]
-    container = instance.containers[step.edge_index]
-    if isinstance(step, LookupStep):
-        key = pattern.project(step.edge.key)
-        child = container.lookup(key)
-        if child is not MISSING:
-            yield from _execute(plan, depth + 1, child, binding.merge(key), pattern)
-        return
-    for key, child in container.items():
-        if key.matches(pattern):
-            yield from _execute(plan, depth + 1, child, binding.merge(key), pattern)
+    for node, binding in zip(nodes, bindings):
+        unit = node.unit_value
+        if unit is None:
+            continue  # An empty unit represents no tuple.
+        row = binding.merge(unit)
+        if row.matches(pattern):
+            rows.append(row)

@@ -783,8 +783,12 @@ class LiveRelation(RelationInterface):
         incremental migration window; by default instances of at least
         :data:`DUAL_WRITE_THRESHOLD` rows take it.
 
-        Deterministic by construction for seeded workloads: the sampler's
-        RNG is seeded and the autotuner's replay is exact.
+        Deterministic for seeded workloads: the sampler's RNG is seeded and
+        the autotuner's replay is exact.  In background mode too, since the
+        operation counter charges only the search's thread: the caller's
+        operations during the search do not reach the candidates' counts
+        (``tests/test_live.py`` checks a background search against a
+        synchronous one).
 
         Failure semantics: any stage can fail (including by an injected
         fault) and the relation survives — the old backing is untouched and

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import math
+from threading import get_ident
 from typing import Any, Iterator, List, Optional, Tuple as PyTuple
 
 from ..core.tuples import Tuple
@@ -52,12 +53,30 @@ class OperationCounter:
     the counter as a deterministic, machine-independent cost metric, and
     tests use it to verify asymptotic claims (e.g. that hash lookups touch
     O(1) entries while list lookups touch O(n)).
+
+    Only charges made on ``owner`` count: the thread that last entered the
+    counter (before any did, the thread that created it).  Setting
+    ``enabled`` by hand arms it for that thread.  A background re-tune
+    replays candidates under ``with COUNTER`` on its own thread while the
+    caller keeps operating on its relation, and the caller's charges must
+    not land in the candidates' counts.  One counter still holds one count
+    at a time: entering it resets whatever count another thread has open.
     """
 
-    __slots__ = ("enabled", "accesses", "lookups", "inserts", "removals", "scans", "allocations")
+    __slots__ = (
+        "enabled",
+        "owner",
+        "accesses",
+        "lookups",
+        "inserts",
+        "removals",
+        "scans",
+        "allocations",
+    )
 
     def __init__(self) -> None:
         self.enabled = False
+        self.owner = get_ident()
         self.reset()
 
     def reset(self) -> None:
@@ -78,36 +97,38 @@ class OperationCounter:
             "allocations": self.allocations,
         }
 
-    # The hot path is guarded by ``enabled`` so uninstrumented runs stay fast.
+    # The hot path is guarded by ``enabled`` so uninstrumented runs stay fast;
+    # the owner check runs only while the counter is on.
 
     def count_access(self, amount: int = 1) -> None:
-        if self.enabled:
+        if self.enabled and self.owner == get_ident():
             self.accesses += amount
 
     def count_lookup(self) -> None:
-        if self.enabled:
+        if self.enabled and self.owner == get_ident():
             self.lookups += 1
 
     def count_insert(self) -> None:
-        if self.enabled:
+        if self.enabled and self.owner == get_ident():
             self.inserts += 1
 
     def count_removal(self) -> None:
-        if self.enabled:
+        if self.enabled and self.owner == get_ident():
             self.removals += 1
 
     def count_scan(self) -> None:
-        if self.enabled:
+        if self.enabled and self.owner == get_ident():
             self.scans += 1
 
     def count_allocation(self) -> None:
-        if self.enabled:
+        if self.enabled and self.owner == get_ident():
             self.allocations += 1
 
     # -- context manager -------------------------------------------------------
 
     def __enter__(self) -> "OperationCounter":
         self.reset()
+        self.owner = get_ident()
         self.enabled = True
         return self
 

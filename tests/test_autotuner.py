@@ -10,6 +10,7 @@ The property tests pin the acceptance criteria of the autotuner:
   covers (or beats) the shapes a developer would write.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from repro.autotuner import (
     exact_accesses,
     memory_proxy,
     pareto_front,
+    replay_trace,
     representative_structures,
     static_cost,
     synthesize,
@@ -38,10 +40,12 @@ from repro.core.errors import AdequacyError, AutotunerError, FunctionalDependenc
 from repro.core.interface import RelationInterface
 from repro.decomposition import (
     DecomposedRelation,
+    JoinPlan,
     is_adequate,
     parse_decomposition,
     plan_query,
 )
+from repro.structures import COUNTER
 
 SCHEDULER_PATTERNS = [frozenset({"ns", "pid"}), frozenset({"state"})]
 
@@ -426,6 +430,55 @@ class TestTunerPhases:
             autotune(workload.spec, trace, include=[inadequate])
         with pytest.raises(AdequacyError, match=r"src -> htable \{dst, weight\}"):
             repro.open(workload.spec, inadequate, tune=trace)
+
+
+#: Enumerated candidates replayed per quick workload besides its hand layouts.
+SAMPLED_CANDIDATES = 3
+
+
+def replayed_layouts(name):
+    """A quick workload's spec and trace, with every hand layout and a
+    seeded sample of the enumerated candidates for its trace."""
+    workload = WORKLOADS[name](QUICK_SCALE)
+    trace = Trace.from_workload(workload)
+    layouts = [
+        parse_decomposition(text, name=label) for label, text in workload.hand_layouts().items()
+    ]
+    enumerated = enumerate_decompositions(workload.spec, trace.profile().pattern_columns())
+    layouts += random.Random(name).sample(enumerated, min(SAMPLED_CANDIDATES, len(enumerated)))
+    return workload.spec, trace, layouts
+
+
+class TestResultFreeReplay:
+    """The scorer replays reads without building their results; it must
+    count what a replay through the public API counts."""
+
+    @pytest.mark.parametrize("enforce_fds", [True, False], ids=["fd-on", "fd-off"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_scorer_counts_what_the_public_replay_counts(self, name, enforce_fds):
+        spec, trace, layouts = replayed_layouts(name)
+        for decomposition in layouts:
+            relation = DecomposedRelation(spec, decomposition, enforce_fds=enforce_fds)
+            with COUNTER:
+                replay_trace(trace, relation)
+                public = COUNTER.accesses
+            scored = exact_accesses(trace, decomposition, enforce_fds, spec=spec)
+            assert scored == public, decomposition.describe()
+
+    def test_the_replays_take_every_read_path(self):
+        """The layouts above include a join-planned query, a range read
+        served by an ordered root's descent and one served by the generic
+        filtered scan."""
+        spec, trace, layouts = replayed_layouts("graph_reverse")
+        primary = replay_trace(trace, DecomposedRelation(spec, layouts[0]))
+        assert isinstance(primary.plan_for("dst"), JoinPlan)
+        spec, trace, layouts = replayed_layouts("ordered_scan")
+        assert {op[1] for op in trace if op[0] == "range"} == {"ts"}
+        ordered_root = [
+            any(e.key == {"ts"} and e.structure_class().ORDERED for e in d.root.edges)
+            for d in layouts
+        ]
+        assert any(ordered_root) and not all(ordered_root)
 
 
 class TestSynthesize:

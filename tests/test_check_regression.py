@@ -33,7 +33,7 @@ def report(mode="quick", accesses=1000, autotuned=400, interpreted=1.0, compiled
             "autotuned": {
                 "accesses": autotuned,
                 "hand_written": {
-                    "primary": {"layout": SHARED, "accesses": 8488},
+                    "primary": {"layout": SHARED, "accesses": accesses},
                     "copied-2branch": {"layout": COPIED, "accesses": 69750},
                 },
             },
@@ -41,7 +41,7 @@ def report(mode="quick", accesses=1000, autotuned=400, interpreted=1.0, compiled
 
     return {
         "meta": {"mode": mode, "hash_algorithm": algorithm, "hash_seed": seed},
-        "workloads": {"scheduler": workload(), "scheduler_churn": workload()},
+        "workloads": {name: workload() for name in check.WORKLOADS},
         "join_plan": {
             "workload": "graph_reverse",
             "chosen_is_join": True,
@@ -84,6 +84,7 @@ HEALTHY = {
     "sharing": "PASS",
     "join": "PASS",
     "retune": "PASS",
+    "scorer": "PASS",
 }
 
 
@@ -185,18 +186,17 @@ _COMPILED = "workloads.{}.tiers.compiled.median_seconds"
 BROKEN = {
     "one-workload-below-2x": ("tier_ratio", [(_COMPILED.format("scheduler"), 0.6)]),
     "aggregate-below-4x": (
-        "tier_ratio",
-        [(_COMPILED.format(w), 0.3) for w in ("scheduler", "scheduler_churn")],
+        "tier_ratio", [(_COMPILED.format(w), 0.3) for w in check.WORKLOADS]
     ),
     "no-tier-median": (
         "tier_ratio", [("workloads.scheduler.tiers.interpreted.median_seconds", None)]
     ),
     "primary-not-shared": ("sharing", [(_CHURN + "primary.layout", COPIED)]),
-    "shared-not-cheaper": ("sharing", [(_CHURN + "primary.accesses", 69750)]),
+    "shared-not-cheaper": ("sharing scorer", [(_CHURN + "primary.accesses", 69750)]),
     "churn-autotuned-missing": (
-        "accesses sharing", [("workloads.scheduler_churn.autotuned", None)]
+        "accesses sharing scorer", [("workloads.scheduler_churn.autotuned", None)]
     ),
-    "autotuned-missing": ("accesses", [("workloads.scheduler.autotuned", None)]),
+    "autotuned-missing": ("accesses scorer", [("workloads.scheduler.autotuned", None)]),
     "join-missing": ("join", [("join_plan", None)]),
     "join-wrong-workload": ("join", [("join_plan.workload", "graph")]),
     "plan-not-a-join": ("join", [("join_plan.chosen_is_join", False)]),
@@ -209,6 +209,10 @@ BROKEN = {
     "same-layout": ("retune", [("retune.new_layout", "src -> htable (dst -> htable {weight})")]),
     "tail-not-cheaper": ("retune", [("retune.new_tail_accesses", 9892)]),
     "tail-counted-nothing": ("retune", [("retune.new_tail_accesses", 0)]),
+    "scorer-diverges": (
+        "scorer", [("workloads.graph_reverse.autotuned.hand_written.primary.accesses", 999)]
+    ),
+    "scorer-workload-missing": ("accesses scorer", [("workloads.spanning", None)]),
 }
 
 
@@ -234,7 +238,7 @@ def test_prior_pin_fails_below_floor_with_matching_modes_and_skips_otherwise():
     assert statuses(full, report(mode="default"), slow)["prior_pin"] == "FAIL"
     assert statuses(report(), report(), slow)["prior_pin"] == "SKIP"
     disjoint = prior()
-    disjoint["workloads"] = {"graph": disjoint["workloads"].pop("scheduler")}
+    disjoint["workloads"] = {"elsewhere": disjoint["workloads"].pop("scheduler")}
     assert statuses(full, report(mode="default"), disjoint)["prior_pin"] == "FAIL"
 
 
@@ -264,4 +268,6 @@ def test_checked_in_reports_carry_every_field_the_claims_read():
     full = json.loads((check.BASELINE.parent / "BENCH_14.json").read_text())
     result = statuses(full, baseline, pin)
     assert result["accesses"] == "MISMATCH"  # full-length counts vs the quick baseline
-    assert {result[claim] for claim in ("tier_ratio", "sharing", "join", "retune")} == {"PASS"}
+    assert {result[claim] for claim in ("tier_ratio", "sharing", "join", "retune", "scorer")} == {
+        "PASS"
+    }

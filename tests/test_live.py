@@ -536,6 +536,51 @@ def test_report_keeps_only_the_replayed_candidates(monkeypatch):
     )
 
 
+def test_background_search_counts_none_of_the_callers_operations(monkeypatch):
+    """A background re-tune scores its candidates as a synchronous search of
+    the same trace does, although the caller keeps operating on the backing
+    while the search replays: only the thread that entered the counter
+    charges it.  The search parks mid-replay, with its counter on, while
+    the caller runs its queries."""
+    calls = []
+    real_autotune = live_module.autotune
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real_autotune(*args, **kwargs)
+
+    caller = threading.get_ident()
+    parked, resume = threading.Event(), threading.Event()
+    real_insert = DecomposedRelation.insert
+
+    def parking_insert(self, tup):
+        if threading.get_ident() != caller and not parked.is_set():
+            parked.set()
+            resume.wait(10)
+        return real_insert(self, tup)
+
+    monkeypatch.setattr(live_module, "autotune", recorded)
+    monkeypatch.setattr(DecomposedRelation, "insert", parking_insert)
+    rng = random.Random(4)
+    live = graph_relation(rng, policy={"auto": False, "background": True})
+    for _ in range(200):
+        live.query(t(dst=rng.randrange(48)), "src, weight")
+    report = live.retune()
+    try:
+        assert report.pending and parked.wait(10)
+        assert COUNTER.enabled
+        for _ in range(500):
+            live.query(t(src=rng.randrange(48)), "dst, weight")
+    finally:
+        resume.set()
+    assert live.finish_retune() is report and report.error is None
+    [(args, kwargs)] = calls
+    synchronous = real_autotune(*args, **kwargs)
+    assert [(c.layout, c.accesses) for c in report.tuning.replayed] == [
+        (c.layout, c.accesses) for c in synchronous.replayed
+    ]
+
+
 # -- the facade contract -----------------------------------------------------------
 
 
