@@ -5,9 +5,9 @@ Usage::
     python benchmarks/check.py BENCH.json
 
 Besides the report it reads two checked-in files at fixed paths:
-``benchmarks/baseline.json``, a quick-mode report recorded at
-``PYTHONHASHSEED=0``, and ``benchmarks/pr7_wallclock.json``, a full-length
-pin of an earlier compiled tier's wall-clock medians.  It prints one line
+``benchmarks/baseline.json``, a quick-mode report, and
+``benchmarks/pr7_wallclock.json``, a full-length pin of an earlier
+compiled tier's wall-clock medians.  It prints one line
 per claim with the numbers it compared, and exits 1 if a claim fails, else
 2 if the report's mode differs from the baseline's (trace sizes differ, so
 access counts are not comparable), else 0.
@@ -15,13 +15,10 @@ access counts are not comparable), else 0.
 The claims:
 
 * ``accesses`` — every tier's counted accesses, and the autotuned
-  winner's, are at most the baseline's.  The counts are exact only for a
-  fixed ``str`` hash: CPython 3.9 and 3.10 hash with siphash24, 3.11 and
-  later with siphash13, and both the interpreted tier's hash-chained
-  ``htable`` and the autotuner's winners follow the hash.  So the rule is
-  strict (not one access more) when report and baseline share the hash
-  algorithm and an integer seed, and allows 2x otherwise — headroom that
-  still catches a plan gone bad or an index no longer used.
+  winner's, are at most the baseline's: not one access more.  The counts
+  follow neither the interpreter nor its ``str`` hash (every container
+  charges by a fixed rule, and the interpreted ``htable`` as the compiled
+  tier's dict does), so one strict rule holds on every interpreter.
 * ``tier_ratio`` — the compiled tier's median wall-clock beats the
   interpreted tier's by at least 2.0x on each workload and 4.0x in
   aggregate.  The floors sit far below the measured ratios, so only a real
@@ -46,8 +43,6 @@ from pathlib import Path
 BASELINE = Path(__file__).resolve().parent / "baseline.json"
 PRIOR = Path(__file__).resolve().parent / "pr7_wallclock.json"
 
-#: Headroom of the ``accesses`` claim across hash configurations.
-MAX_ACCESS_REGRESSION = 2.0
 MIN_TIER_RATIO = 2.0
 MIN_AGGREGATE = 4.0
 MIN_PRIOR_SPEEDUP = 3.0
@@ -160,19 +155,6 @@ def check_accesses(report: dict, baseline: dict) -> "tuple[str, str]":
             f"report mode {_mode(report)!r} vs baseline {_mode(baseline)!r}: access "
             f"counts are not comparable (run the harness with matching --quick)"
         )
-    mine, theirs = report.get("meta", {}), baseline.get("meta", {})
-    hashing = (mine.get("hash_algorithm"), mine.get("hash_seed"))
-    strict = isinstance(hashing[1], int) and hashing == (
-        theirs.get("hash_algorithm"),
-        theirs.get("hash_seed"),
-    )
-    factor = 1.0 if strict else MAX_ACCESS_REGRESSION
-    rule = (
-        f"strict rule ({hashing[0]}, seed {hashing[1]}, as the baseline)"
-        if strict
-        else f"{MAX_ACCESS_REGRESSION:g}x rule (report hashes {hashing[0]}, seed "
-        f"{hashing[1]}; baseline {theirs.get('hash_algorithm')}, seed {theirs.get('hash_seed')})"
-    )
     failures, ratios, checked = [], [], 0
     for name, base in sorted(baseline.get("workloads", {}).items()):
         current = report.get("workloads", {}).get(name)
@@ -189,14 +171,14 @@ def check_accesses(report: dict, baseline: dict) -> "tuple[str, str]":
             checked += 1
             if entry is None:
                 failures.append(f"{name}/{label} missing")
-            elif entry["accesses"] > limit * factor:
+            elif entry["accesses"] > limit:
                 failures.append(f"{name}/{label} {entry['accesses']:,d} > {limit:,d}")
             elif limit:
                 ratios.append((entry["accesses"] / limit, f"{name}/{label}"))
     if failures:
-        return "FAIL", f"{rule}: " + "; ".join(failures)
+        return "FAIL", "strict rule: " + "; ".join(failures)
     worst, label = max(ratios, default=(0.0, "none"))
-    return "PASS", f"{rule}: {checked} counts; highest {worst:.2f}x of baseline ({label})"
+    return "PASS", f"strict rule: {checked} counts; highest {worst:.2f}x of baseline ({label})"
 
 
 def _medians(report: dict, tier: str) -> dict:

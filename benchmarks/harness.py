@@ -8,9 +8,8 @@ report it writes.  For each workload the harness records, per tier:
   only): three timed replays (``time.perf_counter``), each on a fresh
   relation;
 * ``accesses``: one replay under :data:`repro.structures.base.COUNTER`.
-  Unlike the timings these counts are machine-independent; they are exact
-  for a fixed interpreter ``str`` hash, which ``meta`` records as
-  ``hash_algorithm`` and ``hash_seed``;
+  Unlike the timings these counts are exact and machine-independent: the
+  same on every interpreter and at every ``str`` hash seed;
 * the final relation of the reference tier's one (instrumented) replay is
   the oracle: the last timed and the instrumented replay of each fast
   tier must equal it (a coarse soundness check riding along with every
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import statistics
 import sys
@@ -305,7 +303,7 @@ def measure_retune(workload: Workload) -> Dict:
         workload.layout,
         live=True,
         policy=RETUNE_POLICY,
-        sampler=SamplingTraceRecorder(seed=0),
+        sampler=SamplingTraceRecorder(),
     )
     mirror = repro.open(workload.spec, tier="reference")
     replay(live, workload.trace)
@@ -342,13 +340,6 @@ def measure_retune(workload: Workload) -> Dict:
     }
 
 
-def _hash_seed():
-    """``PYTHONHASHSEED`` as an integer, or None when ``str`` hashing is
-    randomised (unset or ``random``)."""
-    seed = os.environ.get("PYTHONHASHSEED", "")
-    return int(seed) if seed.isdigit() else None
-
-
 def run_all(quick: bool = False) -> Dict:
     report: Dict = {
         "meta": {
@@ -356,8 +347,6 @@ def run_all(quick: bool = False) -> Dict:
             "implementation": platform.python_implementation(),
             "mode": "quick" if quick else "default",
             "repeat": REPEAT,
-            "hash_algorithm": sys.hash_info.algorithm,
-            "hash_seed": _hash_seed(),
         },
         "workloads": {},
     }

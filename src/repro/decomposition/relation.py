@@ -95,7 +95,9 @@ class DecomposedRelation(RelationInterface):
         The signature itself is only recomputed when the instance's
         mutation stamp has moved since the last call — a run of queries
         with no intervening mutation resolves its plans with two attribute
-        reads and one dict probe.
+        reads and one dict probe.  The cache holds only validated column
+        sets, so a ``frozenset`` it hits (what internal callers pass) needs
+        no validation; anything else goes through :func:`columns` first.
         """
         version = self.instance._version
         if version != self._plan_version:
@@ -104,6 +106,10 @@ class DecomposedRelation(RelationInterface):
             if signature != self._plan_signature:
                 self._plan_cache.clear()
                 self._plan_signature = signature
+        if isinstance(pattern_columns, frozenset):
+            plan = self._plan_cache.get(pattern_columns)
+            if plan is not None:
+                return plan
         key = columns(pattern_columns)
         plan = self._plan_cache.get(key)
         if plan is None:

@@ -4,11 +4,11 @@ The paper's synthesis loop (Section 5) is offline: record a trace, pick a
 layout, compile, done.  This module closes the loop *online*:
 
 * :class:`SamplingTraceRecorder` — an always-on, bounded-overhead workload
-  sampler: a decayed reservoir of concrete operations (the re-tune trace's
-  tail) plus a sliding-window operation-mix histogram (the drift signal).
-  Steady-state cost is O(1) per operation — one counter bump, one deque
-  append, one RNG draw and an amortized drift check — and O(capacity +
-  window) memory, so profiling can stay on in production;
+  sampler: the last operations observed (the re-tune trace's tail) plus a
+  sliding-window operation-mix histogram (the drift signal).  Steady-state
+  cost is O(1) per operation — one counter bump, two deque appends and an
+  amortized drift check — and O(capacity + window) memory, so profiling
+  can stay on in production;
 * :class:`RetunePolicy` — when to re-tune (a minimum operation count
   between tunings plus a total-variation drift threshold on the observed
   operation mix) and how an attempt is paced;
@@ -36,7 +36,7 @@ failure, and opens the circuit breaker at three.
 
 The re-tune trace is synthesized from what the facade knows: inserts
 reconstructing the **current contents** (the data distribution) followed by
-the reservoir's sampled operations in arrival order (the operation mix) —
+the last ``capacity`` operations in arrival order (the operation mix) —
 exactly the two inputs the autotuner's scorer consumes.  The current layout
 is force-included in the search, so a re-tune whose winner keeps the
 current shape swaps nothing.
@@ -45,7 +45,6 @@ current shape swaps nothing.
 from __future__ import annotations
 
 import math
-import random
 import threading
 import time
 from collections import deque
@@ -104,11 +103,13 @@ Operation = PyTuple
 #: The migration guard's payback requirement: a swap must recoup its
 #: migration cost within this many ``min_ops`` re-tune windows (or within
 #: the ops actually observed since the last tune, whichever is longer).
-#: Deliberately generous — the reservoir sample still contains pre-drift
-#: operations, so the replayed access gap *understates* the winner's
-#: steady-state advantage; the guard exists to stop marginal winners from
-#: forcing a full-relation migration on big instances, not to second-guess
-#: a clear drift.
+#: Deliberately generous — a swap keeps earning until the mix drifts
+#: again, often many windows later, and a re-tune fires as soon as the
+#: window's drift crosses the threshold, so its tail can still hold
+#: operations of the old mix and the replayed access gap tends to
+#: *understate* the winner's steady-state advantage.  The guard exists to
+#: stop marginal winners from forcing a full-relation migration on big
+#: instances, not to second-guess a clear drift.
 _GUARD_PAYBACK_WINDOWS = 16
 
 #: Instances at least this large migrate through a dual-write window
@@ -146,14 +147,10 @@ class SamplingTraceRecorder:
 
     Two structures, both O(1) per observed operation:
 
-    * a **decayed reservoir** of ``capacity`` concrete operations.  Classic
-      reservoir sampling keeps a uniform sample of *all* history; here the
-      inclusion draw is floored at ``horizon`` — operation *i* enters with
-      probability ``capacity / min(i, horizon)`` — so recent operations
-      always retain at least a ``capacity / horizon`` chance and the sample
-      decays toward the recent workload.  :meth:`sampled_operations`
-      returns the survivors in arrival order, forming the tail of the
-      re-tune trace;
+    * a **tail** of the last ``capacity`` concrete operations, in arrival
+      order (:meth:`sampled_operations`): the tail of the re-tune trace.  A
+      re-tune fires because the recent mix drifted, so it tunes on the
+      operations that drifted rather than on a sample of all history;
     * a **sliding window** (``window`` most recent operations) of mix-key
       counts — ``(kind, pattern columns)`` — compared against the mix at
       the last re-tune (:meth:`rebase`) by total-variation distance
@@ -163,51 +160,35 @@ class SamplingTraceRecorder:
       have, so while the drift stays clear of the threshold the check
       costs O(1) amortized per operation.
 
-    The RNG is seeded, so a seeded workload produces a deterministic sample
-    (and deterministic re-tune decisions — the property the differential
-    tests and the CI gate rely on).
+    Both are functions of the operation stream alone, so a seeded workload
+    gives the same sample, and the same re-tune decisions, on every run.
     """
 
     __slots__ = (
         "capacity",
-        "horizon",
         "window",
-        "_rng",
         "_seen",
-        "_reservoir",
+        "_tail",
         "_recent",
         "_recent_counts",
         "_baseline_mix",
-        "_randbelow",
         "_quiet_until",
         "_quiet_threshold",
     )
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        horizon: int = 4096,
-        window: int = 512,
-        seed: int = 0,
-    ):
-        if capacity < 1 or window < 1 or horizon < capacity:
+    def __init__(self, capacity: int = 256, window: int = 512):
+        if capacity < 1 or window < 1:
             raise LiveRelationError(
-                f"sampler needs capacity >= 1, window >= 1 and horizon >= capacity; "
-                f"got capacity={capacity}, window={window}, horizon={horizon}"
+                f"sampler needs capacity >= 1 and window >= 1; "
+                f"got capacity={capacity}, window={window}"
             )
         self.capacity = capacity
-        self.horizon = horizon
         self.window = window
-        self._rng = random.Random(seed)
         self._seen = 0
-        #: ``(arrival index, operation)`` pairs; order restored on demand.
-        self._reservoir: List[PyTuple[int, Operation]] = []
+        self._tail: Deque[Operation] = deque(maxlen=capacity)
         self._recent: Deque[PyTuple] = deque(maxlen=window)
         self._recent_counts: Dict[PyTuple, int] = {}
         self._baseline_mix: Optional[Dict[PyTuple, float]] = None
-        #: ``randrange(n)`` draws exactly this for ``n >= 1``, minus its
-        #: argument checks.
-        self._randbelow = self._rng._randbelow
         #: Through observed operation ``_quiet_until`` the drift is known to
         #: stay below ``_quiet_threshold`` (see :meth:`drift_at_least`).
         self._quiet_until = -1
@@ -216,7 +197,7 @@ class SamplingTraceRecorder:
     # -- observation (the O(1) hot path) ----------------------------------------
 
     def observe(self, op: Operation) -> None:
-        """Record one operation: update the mix window, maybe sample it."""
+        """Record one operation in the mix window and the tail."""
         self._seen += 1
         key = _op_key(op)
         recent = self._recent
@@ -230,14 +211,7 @@ class SamplingTraceRecorder:
                 del counts[evicted]
         recent.append(key)
         counts[key] = counts.get(key, 0) + 1
-
-        reservoir = self._reservoir
-        if len(reservoir) < self.capacity:
-            reservoir.append((self._seen, op))
-        else:
-            slot = self._randbelow(min(self._seen, self.horizon))
-            if slot < self.capacity:
-                reservoir[slot] = (self._seen, op)
+        self._tail.append(op)
 
     # -- re-tune inputs ----------------------------------------------------------
 
@@ -247,8 +221,8 @@ class SamplingTraceRecorder:
         return self._seen
 
     def sampled_operations(self) -> List[Operation]:
-        """The reservoir's operations in arrival order (the trace tail)."""
-        return [op for _, op in sorted(self._reservoir)]
+        """The last ``capacity`` operations in arrival order (the trace tail)."""
+        return list(self._tail)
 
     def recent_mix(self) -> Dict[PyTuple, float]:
         """The sliding window's operation mix, normalised to frequencies."""
@@ -303,9 +277,8 @@ class SamplingTraceRecorder:
     def stats(self) -> Dict[str, object]:
         return {
             "seen": self._seen,
-            "sampled": len(self._reservoir),
+            "sampled": len(self._tail),
             "capacity": self.capacity,
-            "horizon": self.horizon,
             "window": self.window,
             "drift": None if self._baseline_mix is None else round(self.drift(), 4),
         }
@@ -313,7 +286,7 @@ class SamplingTraceRecorder:
     def __repr__(self) -> str:
         return (
             f"SamplingTraceRecorder(seen={self._seen}, "
-            f"sampled={len(self._reservoir)}/{self.capacity})"
+            f"sampled={len(self._tail)}/{self.capacity})"
         )
 
 
@@ -569,8 +542,7 @@ class LiveRelation(RelationInterface):
         """Operational counters: sampling overhead is bounded by these.
 
         Per observed operation the facade pays one histogram update, one
-        RNG draw (plus one reservoir slot write with probability
-        ``capacity / min(seen, horizon)``) and an amortized drift check
+        tail append and an amortized drift check
         (:meth:`SamplingTraceRecorder.drift_at_least`); memory is bounded by
         ``capacity`` sampled operations plus a ``window``-length mix
         window.  No container access is charged — the sampled numbers the
@@ -751,13 +723,13 @@ class LiveRelation(RelationInterface):
     def _retune_trace(self) -> Trace:
         """Synthesize the tuning workload: current contents + sampled tail.
 
-        Always built in ``enforce_fds=False`` (eviction) mode: the sampled
-        tail is not a contiguous history — an old sampled insert can
-        FD-conflict with the reconstructed current contents — so an FD-on
-        replay could spuriously raise mid-scoring.  Eviction replay never
-        raises and preserves the operation mix, which is what the scorer
-        measures; the swapped-in backing still runs in the live relation's
-        own FD mode.
+        Always built in ``enforce_fds=False`` (eviction) mode: the tail
+        replays operations whose effects the reconstructed contents already
+        hold — a tail insert can FD-conflict with a row that a later tail
+        update rewrote — so an FD-on replay could spuriously raise
+        mid-scoring.  Eviction replay never raises and preserves the
+        operation mix, which is what the scorer measures; the swapped-in
+        backing still runs in the live relation's own FD mode.
         """
         contents = sorted(self._backing.to_relation().tuples, key=Tuple.sort_key)
         operations: List[Operation] = [("insert", tup) for tup in contents]
@@ -783,12 +755,12 @@ class LiveRelation(RelationInterface):
         incremental migration window; by default instances of at least
         :data:`DUAL_WRITE_THRESHOLD` rows take it.
 
-        Deterministic for seeded workloads: the sampler's RNG is seeded and
-        the autotuner's replay is exact.  In background mode too, since the
-        operation counter charges only the search's thread: the caller's
-        operations during the search do not reach the candidates' counts
-        (``tests/test_live.py`` checks a background search against a
-        synchronous one).
+        Deterministic for seeded workloads: the sampler keeps the last
+        operations and the autotuner's replay is exact.  In background mode
+        too, since the operation counter charges only the search's thread:
+        the caller's operations during the search do not reach the
+        candidates' counts (``tests/test_live.py`` checks a background
+        search against a synchronous one).
 
         Failure semantics: any stage can fail (including by an injected
         fault) and the relation survives — the old backing is untouched and

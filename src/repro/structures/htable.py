@@ -1,15 +1,16 @@
-"""A separate-chaining hash table (``htable``).
+"""A hash table (``htable``).
 
-This mirrors ``boost::unordered_map`` in the paper's container library.  The
-implementation is a genuine hash table — its own bucket array, chaining, and
-load-factor-driven resizing — rather than a wrapper over ``dict``, so that
-the operation counter reflects realistic per-probe costs and so the
-structure can serve as a template for users adding their own containers.
+This mirrors ``boost::unordered_map`` in the paper's container library.  It
+is backed by a Python ``dict`` and charged exactly as the compiled tier's
+``hash`` lowering charges the same container: one access per probe, hit or
+miss; one access per entry a scan visits; nothing for growth.  Iteration
+follows insertion order.  So its counts, and every tuning decision made
+from them, do not depend on the interpreter's ``str`` hash.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple as PyTuple
+from typing import Any, Dict, Iterator, Tuple as PyTuple
 
 from ..core.tuples import Tuple
 from ..faults import FAULTS
@@ -18,139 +19,50 @@ from .base import COUNTER, MISSING, AssociativeContainer
 __all__ = ["HashTableMap"]
 
 
-class _Entry:
-    """A single chained hash-table entry."""
-
-    __slots__ = ("hash_value", "key", "value", "next")
-
-    def __init__(self, hash_value: int, key: Tuple, value: Any):
-        self.hash_value = hash_value
-        self.key = key
-        self.value = value
-        self.next: Optional["_Entry"] = None
-
-
 class HashTableMap(AssociativeContainer):
-    """Hash table with separate chaining and automatic resizing."""
+    """Hash table charged one access per probe."""
 
     NAME = "htable"
     ORDERED = False
     INTRUSIVE = False
 
-    #: Resize when size / buckets exceeds this factor.
-    MAX_LOAD_FACTOR = 0.75
-    #: Initial number of buckets.
-    INITIAL_BUCKETS = 8
+    __slots__ = ("_entries",)
 
-    __slots__ = ("_buckets", "_size")
-
-    def __init__(self, initial_buckets: int = INITIAL_BUCKETS) -> None:
-        if initial_buckets < 1:
-            initial_buckets = self.INITIAL_BUCKETS
-        self._buckets: List[Optional[_Entry]] = [None] * initial_buckets
-        self._size = 0
+    def __init__(self) -> None:
+        self._entries: Dict[Tuple, Any] = {}
 
     @classmethod
     def estimate_accesses(cls, n: float) -> float:
         return 1.0
 
-    # -- internals -----------------------------------------------------------------
-
-    def _bucket_index(self, hash_value: int, bucket_count: Optional[int] = None) -> int:
-        count = bucket_count if bucket_count is not None else len(self._buckets)
-        return hash_value % count
-
-    def _find(self, key: Tuple) -> Optional[_Entry]:
-        hash_value = hash(key)
-        entry = self._buckets[self._bucket_index(hash_value)]
-        while entry is not None:
-            COUNTER.count_access()
-            if entry.hash_value == hash_value and entry.key == key:
-                return entry
-            entry = entry.next
-        return None
-
-    def _maybe_resize(self) -> None:
-        if self._size / len(self._buckets) <= self.MAX_LOAD_FACTOR:
-            return
-        new_count = len(self._buckets) * 2
-        new_buckets: List[Optional[_Entry]] = [None] * new_count
-        for head in self._buckets:
-            entry = head
-            while entry is not None:
-                next_entry = entry.next
-                index = self._bucket_index(entry.hash_value, new_count)
-                entry.next = new_buckets[index]
-                new_buckets[index] = entry
-                COUNTER.count_access()
-                entry = next_entry
-        self._buckets = new_buckets
-
-    # -- interface -------------------------------------------------------------------
-
     def insert(self, key: Tuple, value: Any) -> None:
         if FAULTS.active:
             FAULTS.check("structures.htable.insert")
         COUNTER.count_insert()
-        existing = self._find(key)
-        if existing is not None:
-            existing.value = value
-            return
-        COUNTER.count_allocation()
-        hash_value = hash(key)
-        index = self._bucket_index(hash_value)
-        entry = _Entry(hash_value, key, value)
-        entry.next = self._buckets[index]
-        self._buckets[index] = entry
-        self._size += 1
-        self._maybe_resize()
+        COUNTER.count_access()
+        if key not in self._entries:
+            COUNTER.count_allocation()
+        self._entries[key] = value
 
     def lookup(self, key: Tuple) -> Any:
         if FAULTS.active:
             FAULTS.check("structures.htable.lookup")
         COUNTER.count_lookup()
-        entry = self._find(key)
-        return MISSING if entry is None else entry.value
+        COUNTER.count_access()
+        return self._entries.get(key, MISSING)
 
     def remove(self, key: Tuple) -> bool:
         if FAULTS.active:
             FAULTS.check("structures.htable.remove")
         COUNTER.count_removal()
-        hash_value = hash(key)
-        index = self._bucket_index(hash_value)
-        entry = self._buckets[index]
-        previous: Optional[_Entry] = None
-        while entry is not None:
-            COUNTER.count_access()
-            if entry.hash_value == hash_value and entry.key == key:
-                if previous is None:
-                    self._buckets[index] = entry.next
-                else:
-                    previous.next = entry.next
-                entry.next = None
-                self._size -= 1
-                return True
-            previous, entry = entry, entry.next
-        return False
+        COUNTER.count_access()
+        return self._entries.pop(key, MISSING) is not MISSING
 
     def items(self) -> Iterator[PyTuple[Tuple, Any]]:
         COUNTER.count_scan()
-        for head in self._buckets:
-            entry = head
-            while entry is not None:
-                COUNTER.count_access()
-                yield entry.key, entry.value
-                entry = entry.next
+        for entry in self._entries.items():
+            COUNTER.count_access()
+            yield entry
 
     def __len__(self) -> int:
-        return self._size
-
-    # -- diagnostics ------------------------------------------------------------------
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self._buckets)
-
-    @property
-    def load_factor(self) -> float:
-        return self._size / len(self._buckets)
+        return len(self._entries)

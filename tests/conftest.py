@@ -8,8 +8,9 @@ from repro.core import RelationSpec
 
 
 def pytest_report_header(config):
-    # Some counted-access decisions depend on str hashing; the seed in the
-    # header makes a red run replayable.
+    # Counted accesses must not depend on str hashing
+    # (test_hash_determinism.py); the seed in the header still makes a red
+    # run replayable.
     return f"PYTHONHASHSEED={os.environ.get('PYTHONHASHSEED', 'unset (random per run)')}"
 
 

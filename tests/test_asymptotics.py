@@ -71,8 +71,8 @@ class TestInterpretedAsymptotics:
         fill_kv(large, n_large)
         a_small = counted_query(small, {"k": n_small - 1})
         a_large = counted_query(large, {"k": n_large - 1})
-        assert a_small <= 4  # Hash probe: bounded chain, no scan.
-        assert a_large <= a_small + 2
+        assert a_small == 1  # One hash probe, no scan.
+        assert a_large == a_small
 
     @pytest.mark.parametrize("n_small, n_large", [(64, 512)])
     def test_list_layout_scans(self, n_small, n_large):
@@ -176,8 +176,6 @@ class TestUpdateLocality:
                 return counter.accesses
 
         small, large = accesses_at(32), accesses_at(256)
-        # O(1)-ish (was O(n) ≈ hundreds before the fix).  An absolute slack
-        # rather than a ratio: the counts are single digits, and hash-table
-        # chain layouts add a few probes of jitter under unlucky
-        # PYTHONHASHSEEDs, which a 2x ratio on ~4 accesses cannot absorb.
-        assert large <= small + 8
+        # O(1) (was O(n) ≈ hundreds before the fix): a hash probe costs one
+        # access whatever the table's size.
+        assert large == small

@@ -91,7 +91,7 @@ def apply_op(relation, op):
 
 class TestSamplingTraceRecorder:
     def test_bounded_and_ordered(self):
-        sampler = SamplingTraceRecorder(capacity=8, horizon=64, window=16, seed=1)
+        sampler = SamplingTraceRecorder(capacity=8, window=16)
         for i in range(500):
             sampler.observe(("insert", t(src=i, dst=i, weight=i)))
         sampled = sampler.sampled_operations()
@@ -99,17 +99,18 @@ class TestSamplingTraceRecorder:
         indices = [op[1]["src"] for op in sampled]
         assert indices == sorted(indices)  # arrival order restored
 
-    def test_decay_keeps_recent_operations_reachable(self):
-        # With the horizon floor, late operations keep a capacity/horizon
-        # inclusion chance; over a long tail some must displace early ones.
-        sampler = SamplingTraceRecorder(capacity=16, horizon=64, window=16, seed=3)
-        for i in range(5000):
-            sampler.observe(("insert", t(src=i, dst=0, weight=0)))
-        newest = max(op[1]["src"] for op in sampler.sampled_operations())
-        assert newest > 1000  # plain reservoir over 5000 ops would rarely keep these
+    def test_tail_is_exactly_the_latest_operations(self):
+        # The re-tune trace's tail is the last `capacity` operations, in
+        # arrival order: the mix that fired a re-tune, undiluted by history.
+        sampler = SamplingTraceRecorder(capacity=16, window=16)
+        ops = [("insert", t(src=i, dst=0, weight=0)) for i in range(5000)]
+        for count, op in enumerate(ops, 1):
+            sampler.observe(op)
+            if count in (1, 15, 16, 17, 5000):
+                assert sampler.sampled_operations() == ops[max(0, count - 16):count]
 
     def test_drift_is_total_variation(self):
-        sampler = SamplingTraceRecorder(capacity=8, horizon=64, window=100, seed=0)
+        sampler = SamplingTraceRecorder(capacity=8, window=100)
         assert math.isinf(sampler.drift())  # no baseline yet
         for _ in range(100):
             sampler.observe(("query", t(src=1), None))
@@ -122,8 +123,8 @@ class TestSamplingTraceRecorder:
 
     def test_determinism(self):
         ops = drifting_workload(200)
-        a = SamplingTraceRecorder(seed=5)
-        b = SamplingTraceRecorder(seed=5)
+        a = SamplingTraceRecorder()
+        b = SamplingTraceRecorder()
         for op in ops:
             a.observe(op)
             b.observe(op)
@@ -134,7 +135,7 @@ class TestSamplingTraceRecorder:
         with pytest.raises(LiveRelationError):
             SamplingTraceRecorder(capacity=0)
         with pytest.raises(LiveRelationError):
-            SamplingTraceRecorder(capacity=16, horizon=8)
+            SamplingTraceRecorder(window=0)
 
 
 # -- the drift check's skip ------------------------------------------------------
@@ -183,7 +184,7 @@ class TestDriftSkip:
     @pytest.mark.parametrize("threshold", [0.05, 0.25, 0.5])
     def test_matches_brute_force_at_every_operation(self, window, threshold):
         rng = random.Random(window * 1000 + int(threshold * 100))
-        sampler = CountingSampler(capacity=8, horizon=64, window=window, seed=3)
+        sampler = CountingSampler(capacity=8, window=window)
         forward = [(SRC_QUERY, 0.6), (INSERT, 0.3), (DST_QUERY, 0.1)]
         reverse = [(DST_QUERY, 0.7), (INSERT, 0.2), (SRC_QUERY, 0.1)]
         # (operations, mix, threshold, rebase first?): rebase while the
@@ -255,7 +256,7 @@ def test_drift_differential_across_hot_swap(enforce_fds):
         live=True,
         enforce_fds=enforce_fds,
         policy={"min_ops": 150, "drift_threshold": 0.25},
-        sampler=SamplingTraceRecorder(seed=11),
+        sampler=SamplingTraceRecorder(),
     )
     mirror = ReferenceRelation(EDGE_SPEC, enforce_fds=enforce_fds)
     initial_backing = type(live.backing)
@@ -286,7 +287,7 @@ def test_automatic_retune_flips_to_reverse_layout():
         FORWARD_LAYOUT,
         live=True,
         policy={"min_ops": 150, "drift_threshold": 0.25},
-        sampler=SamplingTraceRecorder(seed=11),
+        sampler=SamplingTraceRecorder(),
     )
     for op in drifting_workload(1000):
         try:
@@ -387,7 +388,7 @@ class TestRetune:
         """A winner that beats the current layout by one access cannot pay
         for migrating every row: the guard keeps the current layout, and a
         skip is not a failure.  The search is real but its exact counts are
-        pinned, so the decision does not depend on the hash seed."""
+        pinned, so the winner's margin is exactly one access."""
         real_autotune = live_module.autotune
         forward = canonical_shape(parse_decomposition(FORWARD_LAYOUT))
 
@@ -461,7 +462,7 @@ def test_drift_skip_changes_no_decision(enforce_fds):
             live=True,
             enforce_fds=enforce_fds,
             policy={"min_ops": 150, "drift_threshold": 0.25},
-            sampler=sampler_class(seed=11),
+            sampler=sampler_class(),
         )
         for op in drifting_workload(1000, fd_off=not enforce_fds):
             try:
@@ -587,10 +588,10 @@ def test_background_search_counts_none_of_the_callers_operations(monkeypatch):
 def test_range_reads_reach_the_backing_and_are_sampled_as_ranges():
     spec = RelationSpec("ts, id, v", fds=["id -> ts, v"], name="event")
     layout = "ts -> avl id -> htable {v}"
-    # A reservoir as large as the stream keeps every operation.
+    # A tail as long as the stream keeps every operation.
     live = open_relation(
         spec, layout, live=True, policy={"auto": False},
-        sampler=SamplingTraceRecorder(capacity=4096, horizon=4096),
+        sampler=SamplingTraceRecorder(capacity=4096),
     )
     compiled = compile_relation(spec, layout)()
     for i in range(2000):

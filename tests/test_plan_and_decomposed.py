@@ -208,3 +208,8 @@ class TestDecomposedRelationOps:
         first = rel.plan_for("ns, pid")
         again = rel.plan_for(["pid", "ns"])
         assert first is again
+        assert rel.plan_for(frozenset({"ns", "pid"})) is first
+        # A cached plan answers only a validated column set.
+        for bad in (frozenset({""}), frozenset({1}), ["ns", ""], ["ns", 2]):
+            with pytest.raises(SpecificationError):
+                rel.plan_for(bad)

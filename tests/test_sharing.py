@@ -244,9 +244,8 @@ class TestInstanceSharing:
 
         shared_small, shared_large = remove_cost(SHARED, 32), remove_cost(SHARED, 256)
         copied_small, copied_large = remove_cost(COPIED, 32), remove_cost(COPIED, 256)
-        # Shared: O(1) — independent of the state list length (small slack
-        # for hash-chain jitter).
-        assert shared_large <= shared_small + 4
+        # Shared: O(1) — independent of the state list length.
+        assert shared_large == shared_small
         # Copied: genuinely linear in the per-state list.
         assert copied_large >= 4 * copied_small
         assert shared_large < copied_large

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core import t
+from repro.codegen import compile_relation
+from repro.core import RelationSpec, t
 from repro.core.errors import DecompositionError
+from repro.decomposition import DecomposedRelation
 from repro.structures import (
     COUNTER,
     MISSING,
@@ -114,12 +116,52 @@ class TestStructureSpecifics:
             tree.insert(t(k=i), i)
         assert [k["k"] for k, _ in tree.items()] == [1, 2, 3, 5, 8, 9]
 
-    def test_htable_resizes(self):
+    def test_htable_charges_one_access_per_probe(self):
+        """Hit or miss, every probe costs one access, growth costs nothing,
+        and a scan costs one access per entry in insertion order: the
+        charges of the compiled tier's ``hash`` lowering."""
         table = get_structure("htable")()
-        for i in range(100):
-            table.insert(t(k=i), i)
-        assert table.bucket_count > table.INITIAL_BUCKETS
-        assert table.load_factor <= table.MAX_LOAD_FACTOR
+        keys = [t(k=i) for i in range(100, 0, -1)]
+
+        def charged(action):
+            with COUNTER as counter:
+                action()
+                return counter.accesses
+
+        for key in keys:
+            assert charged(lambda: table.insert(key, key["k"])) == 1
+        assert charged(lambda: table.insert(keys[0], 0)) == 1  # overwrite
+        assert charged(lambda: table.lookup(keys[1])) == 1
+        assert charged(lambda: table.lookup(t(k=999))) == 1
+        assert charged(lambda: table.remove(keys[2])) == 1
+        assert charged(lambda: table.remove(t(k=999))) == 1
+        with COUNTER as counter:
+            scanned = [key for key, _ in table.items()]
+        assert scanned == keys[:2] + keys[3:]
+        assert counter.accesses == len(scanned) == len(table)
+
+    @pytest.mark.parametrize("layout", ["k -> htable {v, w}", "k -> htable v -> htable {w}"])
+    def test_htable_layouts_charge_alike_on_both_tiers(self, layout):
+        spec = RelationSpec("k, v, w", fds=["k -> v, w"], name="kvw")
+        tiers = [DecomposedRelation(spec, layout), compile_relation(spec, layout)()]
+        for relation in tiers:
+            for i in range(50):
+                relation.insert(t(k=i, v=i % 7, w=i))
+        operations = {
+            "key hit": lambda r: r.query(t(k=7)),
+            "key miss": lambda r: r.query(t(k=99)),
+            "{v} query": lambda r: r.query(t(v=3)),
+            "full scan": lambda r: r.query(t()),
+            "residual update": lambda r: r.update(t(k=7), t(w=-1)),
+        }
+        for name, operation in operations.items():
+            counts = []
+            for relation in tiers:
+                with COUNTER as counter:
+                    operation(relation)
+                    counts.append(counter.accesses)
+            assert counts[0] == counts[1] > 0, name
+        assert tiers[0].to_relation() == tiers[1].to_relation()
 
     def test_counter_sees_linear_vs_constant_lookup(self):
         dlist = get_structure("dlist")()
