@@ -89,8 +89,10 @@ _SPECIALISED_RE = re.compile(r"^(_qv_|_q_|_rm_)\d+$")
 _REGISTRY_ATTR_RE = re.compile(r"^_s\d+$")
 
 #: The list-strategy helpers every emitted module imports from
-#: :mod:`repro.codegen.runtime`; the journalling ones mutate.
+#: :mod:`repro.codegen.runtime`: the probing ones walk and charge, the
+#: journalling ones mutate (``_l_del_j`` unlinks an entry a probe paid for).
 _LIST_HELPERS = ("_l_get", "_l_put_j", "_l_del_j")
+_PROBING_HELPERS = frozenset(("_l_get", "_l_put_j"))
 _JOURNALLING_HELPERS = frozenset(("_l_put_j", "_l_del_j"))
 
 #: Container methods that mutate their receiver.
@@ -639,7 +641,10 @@ def _check_helpers(model: _ModuleModel, runtime: ast.Module, diags: List[Diagnos
     helpers = {node.name: node for node in runtime.body if isinstance(node, ast.FunctionDef)}
     for helper_name in _LIST_HELPERS:
         fn = helpers.get(helper_name)
-        if fn is None or not any(_is_accesses_charge(node) for node in ast.walk(fn)):
+        if fn is None or (
+            helper_name in _PROBING_HELPERS
+            and not any(_is_accesses_charge(node) for node in ast.walk(fn))
+        ):
             diags.append(
                 Diagnostic(
                     "EA021",

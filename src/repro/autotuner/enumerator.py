@@ -34,11 +34,10 @@ ordinary edges ``dlist`` stands in for both — but on edges **into a shared
 node** intrusiveness is behaviourally meaningful (O(1) unlink vs. a linear
 victim scan), so there ``ilist`` is offered as an additional choice.
 ``ilist`` is never proposed on a non-shared edge, where it could not be
-distinguished from ``dlist``; ``vector`` has its own cost curve (``n/4``
-contiguous probes vs. ``n/2`` pointer chasing) and therefore its own class.
-Candidates are deduplicated by canonical shape (structure aliases such as
-``btree`` resolve to their canonical names first; sharing is part of the
-shape, so a shared layout never collides with its per-branch-copy twin).
+distinguished from ``dlist``.  Candidates are deduplicated by canonical
+shape (structure aliases such as ``btree`` and ``vector`` resolve to their
+canonical names first; sharing is part of the shape, so a shared layout
+never collides with its per-branch-copy twin).
 "Adequate by construction" is still checked, once per structure-free
 shape (:func:`shape_skeleton`): the adequacy judgement
 (:mod:`repro.decomposition.adequacy`) reads no structure name.
@@ -110,8 +109,7 @@ def representative_structures(names: Optional[Sequence[str]] = None) -> List[str
     Containers with identical lookup/scan cost curves (sampled at a few
     sizes) are indistinguishable to both scoring phases, so only the first
     of each group is kept — e.g. the default library's ``dlist`` stands in
-    for ``ilist`` on ordinary edges (``vector`` has its own curve, ``n/4``,
-    and keeps its own class).  Intrusiveness is *not* part of the curve:
+    for ``ilist`` on ordinary edges.  Intrusiveness is *not* part of the curve:
     on edges into a shared node, where O(1) unlink is behaviourally
     meaningful, the enumerator re-adds ``ilist`` as an extra choice
     (:data:`SHARED_EDGE_EXTRAS`) rather than collapsing it here.

@@ -216,7 +216,7 @@ class Trace:
                 # differs per candidate (on perfbench's seed-1 ``events_tune``
                 # training trace, 81 per range read on
                 # ``ts -> avl {reading, sensor}`` and 167 on
-                # ``reading -> htable sensor, ts -> vector {}``), and no
+                # ``reading -> htable sensor, ts -> dlist {}``), and no
                 # candidate is priced for an ordered index's bounded
                 # descent; the exact replay phase rewards that descent.
                 profile.queries[frozenset()] = profile.queries.get(frozenset(), 0) + 1

@@ -271,17 +271,18 @@ class _RelationCompiler:
     ) -> None:
         """Charge one modelled *op* (``lookup``, ``scan`` or a :meth:`_touch`
         op) on *edge*'s container.  *paid*: a probe of this container just
-        paid for it — hash/tree links and unlinks ride on that charge, but an
-        intrusive unlink still pays its O(1) pointer splice (its probe was a
-        key *search*)."""
+        paid for it — hash, tree and list links and unlinks ride on that
+        charge, but an intrusive unlink still pays its O(1) pointer splice
+        (its probe was a key *search*)."""
         strategy = _strategy(edge)
         if paid and not (op == "unlink" and strategy == "intrusive"):
             return
         if op == "scan":
             cost = f"len({cexpr})"
         elif strategy == "list":
-            # List probes, stores and unlinks walk the entries inside the
-            # helpers, which charge per visited entry; a link appends.
+            # List probes and stores walk the entries inside the helpers,
+            # which charge per visited entry (an unpaid unlink walks with
+            # the probe helper first, see _touch); a link appends.
             cost = "1" if op == "link" else ""
         elif strategy == "tree":
             cost = f"max(1, len({cexpr}).bit_length())"
@@ -318,7 +319,8 @@ class _RelationCompiler:
             self._emit_charge(edge, c, op, paid)
         if edge is not None and _strategy(edge) == "list":
             # The runtime helpers walk, journal and index list entries; a
-            # link appends a known-new entry and indexes it here.
+            # link appends a known-new entry and indexes it here.  An unlink
+            # no probe paid for first walks to the entry, charging the walk.
             lines = {
                 "store": [f"_l_put_j({c}, {k}, {v}, _j)"],
                 "link": [f"{c}.append([{k}, {v}])", f"{c}.idx[{k}] = {c}[-1]"],
@@ -326,6 +328,8 @@ class _RelationCompiler:
             }[op]
             if op == "link":
                 lines.append(f"_j.append(({J_APPENDED}, {c}))")
+            elif op == "unlink" and not paid:
+                lines.insert(0, f"_l_get({c}, {k})")
         else:
             # A store's uncounted .get captures the displaced residual (if
             # any) for the rollback block.
@@ -903,6 +907,7 @@ class _RelationCompiler:
                 "",
                 "from repro.codegen.runtime import intern_rows, sync_range_snapshot",
                 "from repro.core.interface import RelationInterface",
+                "from repro.core.values import ensure_value as _EV",
             )
         fd_literals = ", ".join(
             f"FunctionalDependency({sorted(fd.lhs)!r}, {sorted(fd.rhs)!r})"
@@ -1444,7 +1449,7 @@ class _RelationCompiler:
             em.line(f"if column != {col!r}:")
             with em.indent():
                 em.line("return RelationInterface.query_range(self, column, lo, hi)")
-            em.line("return intern_rows(self._t_cache, _COLS, self._range_rows(lo, hi))")
+            em.line("return intern_rows(self._t_cache, _COLS, self._range_rows(_EV(lo), _EV(hi)))")
 
     def _emit_check_well_formed(self) -> None:
         em = self.em

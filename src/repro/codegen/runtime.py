@@ -41,7 +41,7 @@ INTERN_BOUND = 131072
 J_SET = 0  # (J_SET, dict, key, old value or _MISS): restore the entry
 J_FRESH = 1  # (J_FRESH, dict, key): delete a freshly linked entry
 J_CELL = 2  # (J_CELL, shared unit cell, old residual): restore it
-J_RELINK = 3  # (J_RELINK, list, entry): relink a deleted list entry
+J_RELINK = 3  # (J_RELINK, list, index, entry): re-insert a deleted list entry
 J_APPENDED = 4  # (J_APPENDED, list): unlink the entry appended last
 J_ROOT = 5  # (J_ROOT, relation, old root): restore a unit root
 J_COUNT = 6  # (J_COUNT, relation, delta): restore the row count
@@ -54,9 +54,9 @@ class _L(list):
     The list of ``[key, value]`` entries is the structure being modelled:
     instrumented probes walk it and charge one access per visited entry,
     exactly like the hand-written list container.  ``idx`` maps key ->
-    entry and is maintained by every mutation; it only serves the
-    *uncounted* fast paths taken when the counter is disabled, so it can
-    never change what an instrumented run observes."""
+    entry and is maintained by every mutation; it only serves *uncounted*
+    work (the probes' fast paths taken when the counter is disabled, and
+    unlinks), so it can never change what an instrumented run observes."""
 
     __slots__ = ("idx",)
 
@@ -65,11 +65,12 @@ class _L(list):
         self.idx = {}
 
 
-# List-layout helpers.  Each has an instrumented walk charging exactly one
-# access per visited entry (hit included, full length on a miss) and an
-# index-backed fast path for when the counter is off; the mutating ones
-# maintain the side index and append one uncounted journal entry per
-# mutation so the emitted rollback blocks can restore the entry exactly.
+# List-layout helpers.  The probes have an instrumented walk charging
+# exactly one access per visited entry (hit included, full length on a
+# miss) and an index-backed fast path for when the counter is off; the
+# mutating ones maintain the side index and append one uncounted journal
+# entry per mutation so the emitted rollback blocks can restore the entry
+# exactly.
 def _l_get(c, k):
     if _C.enabled and _C.owner == _gi():
         n = 0
@@ -108,26 +109,13 @@ def _l_put_j(c, k, v, j):
 
 
 def _l_del_j(c, k, j):
-    if _C.enabled and _C.owner == _gi():
-        n = 0
-        for i, e in enumerate(c):
-            n += 1
-            if e[0] == k:
-                _C.accesses += n
-                del c.idx[k]
-                c[i] = c[-1]
-                c.pop()
-                j.append((J_RELINK, c, e))
-                return True
-        _C.accesses += n
-        return False
-    e = c.idx.pop(k, None)
-    if e is None:
-        return False
-    c[c.index(e)] = c[-1]
-    c.pop()
-    j.append((J_RELINK, c, e))
-    return True
+    """Unlink the present entry *k* in place, keeping the others' order.
+    Uncounted: the emitted code charges the probe that found the entry,
+    and a list unlink rides on it as hash and tree unlinks do."""
+    e = c.idx.pop(k)
+    i = c.index(e)
+    del c[i]
+    j.append((J_RELINK, c, i, e))
 
 
 def _undo(j):
@@ -148,8 +136,8 @@ def _undo(j):
         elif k == J_CELL:
             x[1][0] = x[2]
         elif k == J_RELINK:
-            x[1].append(x[2])
-            x[1].idx[x[2][0]] = x[2]
+            x[1].insert(x[2], x[3])
+            x[1].idx[x[3][0]] = x[3]
         elif k == J_APPENDED:
             e = x[1].pop()
             x[1].idx.pop(e[0], None)
@@ -371,7 +359,7 @@ def sync_range_snapshot(rel, c0):
             ix = _bl(ks, kk)
             # Unequal keys can share a sort key (the repr fallback); step
             # over those to the entry holding k, if any.  Keys match as in
-            # a dict, by identity, then equality: a NaN key finds itself.
+            # a dict, by identity, then equality.
             while ix < len(ks) and ks[ix] == kk:
                 x = o[ix][1]
                 if x is k or x == k:

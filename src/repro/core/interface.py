@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, List, Mapping, Union
 
 from .relation import Relation
 from .tuples import Tuple
-from .values import Value, value_sort_key
+from .values import Value, ensure_value, value_sort_key
 
 __all__ = ["RelationInterface", "coerce_tuple"]
 
@@ -131,8 +131,8 @@ class RelationInterface(abc.ABC):
         spec = getattr(self, "spec", None)
         if spec is not None:
             spec.check_output_columns(column)
-        lo_key = value_sort_key(lo) if lo is not None else None
-        hi_key = value_sort_key(hi) if hi is not None else None
+        lo_key = value_sort_key(ensure_value(lo)) if lo is not None else None
+        hi_key = value_sort_key(ensure_value(hi)) if hi is not None else None
         results = []
         for tup in self.query(None, None):
             key = value_sort_key(tup[column])

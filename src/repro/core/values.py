@@ -15,6 +15,9 @@ Two requirements drive the design:
   never raise ``TypeError``; ``bool``, ``int`` and ``float`` share one
   numeric class, so numbers that are equal (``0``, ``0.0``, ``False``)
   sort equal, as they hash and compare equal.
+
+A float NaN equals nothing, itself included, so no key could find it and
+no order could place it; it is rejected where values enter.
 """
 
 from __future__ import annotations
@@ -52,11 +55,14 @@ def ensure_value(value: Any) -> Value:
     Raises:
         TypeError: if the value is not hashable and therefore cannot be used
             as a relation value.
+        ValueError: if the value is a float NaN, which equals no value.
     """
     if not is_valid_value(value):
         raise TypeError(
             f"relation values must be hashable; got {value!r} of type {type(value).__name__}"
         )
+    if isinstance(value, float) and value != value:
+        raise ValueError("relation values must equal themselves; got a float NaN")
     return value
 
 
@@ -66,14 +72,12 @@ def value_sort_key(value: Value) -> Tuple[str, Any]:
     ``bool``, ``int`` and ``float`` form one numeric class, ordered by
     numeric value: ``False == 0 == 0.0`` get one key, ``1.5`` sorts
     between ``1`` and ``2``, and the class sits where ``int`` always did
-    among other types.  A NaN, equal to no number, stays out of that class
-    (tagged ``"float"``, below every number) so the keys stay totally
-    ordered.  Other values of the same type compare by their natural
-    ordering; values of different types compare by type name, and
+    among other types.  Other values of the same type compare by their
+    natural ordering; values of different types compare by type name, and
     unorderable values fall back to their ``repr``.
     """
     if isinstance(value, (int, float)):  # bool is an int subclass
-        return ("int", value) if value == value else ("float", value)
+        return ("int", value)
     if isinstance(value, str):
         return ("str", value)
     type_name = type(value).__name__

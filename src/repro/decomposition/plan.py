@@ -859,12 +859,11 @@ def walk_chain(
     With *rows*, *bindings* holds each node's bound tuple, keys are merged
     into the bindings as the walk descends, and each unit leaf whose merged
     tuple matches *pattern* is appended to *rows*.  Each level keeps its
-    parents' order, so the rows come in depth-first order.  That last check
-    on the merged tuple is what turns away a NaN pattern value that a
-    lookup found by identity.  Without *rows* the walk makes the same
-    container calls but merges no binding and builds no row.  It does not
-    visit the leaves, which hold no container, so a last scan step only
-    drains its containers: which of their entries match no longer matters.
+    parents' order, so the rows come in depth-first order.  Without *rows*
+    the walk makes the same container calls but merges no binding and
+    builds no row.  It does not visit the leaves, which hold no container,
+    so a last scan step only drains its containers: which of their entries
+    match no longer matters.
     """
     columns_bound = pattern.columns
     last = len(steps) - 1

@@ -11,9 +11,11 @@ Name           Paper counterpart                  Characteristics
 ``ilist``      ``boost::intrusive::list``         intrusive list, O(1) unlink
 ``htable``     ``boost::unordered_map``           hash table, O(1) lookup
 ``btree``      ``std::map`` / intrusive ``set``   AVL tree, O(log n), ordered
-``vector``     ``std::vector``                    array of pairs, O(n) lookup
-``ivector``    dense ``std::vector`` index        O(1) lookup for small ints
 =============  =================================  ==========================
+
+``btree`` is an alias of the AVL tree's registered name ``avl``.  The
+paper's ``std::vector`` of pairs probes linearly, as ``std::list`` does,
+so ``vector`` is an alias of ``dlist``.
 """
 
 from .avltree import AVLTreeMap
@@ -29,7 +31,6 @@ from .registry import (
     structure_cost,
     structure_names,
 )
-from .vector import IndexedVectorMap, VectorMap
 
 __all__ = [
     "AVLTreeMap",
@@ -37,12 +38,10 @@ __all__ = [
     "COUNTER",
     "DListMap",
     "HashTableMap",
-    "IndexedVectorMap",
     "IntrusiveListMap",
     "MISSING",
     "OperationCounter",
     "STRUCTURE_REGISTRY",
-    "VectorMap",
     "default_structure_names",
     "get_structure",
     "register_structure",

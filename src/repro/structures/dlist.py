@@ -143,7 +143,7 @@ class DListMap(AssociativeContainer):
         return self._size
 
 
-class IntrusiveListMap(AssociativeContainer):
+class IntrusiveListMap(DListMap):
     """Intrusive doubly-linked list (``ilist``).
 
     The link node for each entry is stored on the value object itself (in a
@@ -156,22 +156,15 @@ class IntrusiveListMap(AssociativeContainer):
     """
 
     NAME = "ilist"
-    ORDERED = False
     INTRUSIVE = True
     CODEGEN_STRATEGY = "intrusive"
     FAULT_OPS = ("insert", "insert_unique", "lookup", "remove", "remove_value")
 
-    __slots__ = ("_head", "_tail", "_size", "_side_links")
+    __slots__ = ("_side_links",)
 
     def __init__(self) -> None:
-        self._head: Optional[_ListNode] = None
-        self._tail: Optional[_ListNode] = None
-        self._size = 0
+        super().__init__()
         self._side_links: dict = {}
-
-    @classmethod
-    def estimate_accesses(cls, n: float) -> float:
-        return max(1.0, float(n) / 2.0)
 
     @classmethod
     def unlink_cost(cls, n: float) -> float:
@@ -213,39 +206,6 @@ class IntrusiveListMap(AssociativeContainer):
             return
         if links is not None:
             links.pop(id(self), None)
-
-    # -- internal list plumbing ----------------------------------------------------------
-
-    def _find(self, key: Tuple) -> Optional[_ListNode]:
-        node = self._head
-        while node is not None:
-            COUNTER.count_access()
-            if node.key == key:
-                return node
-            node = node.next
-        return None
-
-    def _link_back(self, node: _ListNode) -> None:
-        node.prev = self._tail
-        node.next = None
-        if self._tail is None:
-            self._head = node
-        else:
-            self._tail.next = node
-        self._tail = node
-        self._size += 1
-
-    def _unlink(self, node: _ListNode) -> None:
-        if node.prev is None:
-            self._head = node.next
-        else:
-            node.prev.next = node.next
-        if node.next is None:
-            self._tail = node.prev
-        else:
-            node.next.prev = node.prev
-        node.prev = node.next = None
-        self._size -= 1
 
     # -- interface ---------------------------------------------------------------------
 
@@ -309,14 +269,3 @@ class IntrusiveListMap(AssociativeContainer):
         self._drop_link(value)
         self._unlink(node)
         return True
-
-    def items(self) -> Iterator[PyTuple[Tuple, Any]]:
-        COUNTER.count_scan()
-        node = self._head
-        while node is not None:
-            COUNTER.count_access()
-            yield node.key, node.value
-            node = node.next
-
-    def __len__(self) -> int:
-        return self._size

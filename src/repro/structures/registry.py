@@ -17,7 +17,6 @@ from .avltree import AVLTreeMap
 from .base import AssociativeContainer
 from .dlist import DListMap, IntrusiveListMap
 from .htable import HashTableMap
-from .vector import IndexedVectorMap, VectorMap
 
 __all__ = [
     "register_structure",
@@ -36,8 +35,11 @@ STRUCTURE_REGISTRY: Dict[str, Type[AssociativeContainer]] = {}
 
 #: Alternative names resolving to a registered structure.  ``btree`` is the
 #: paper's generic "balanced tree"; the library's implementation is an AVL
-#: tree registered as ``avl``, and the alias keeps every existing
-#: decomposition string (and mapping file) parsing unchanged.
+#: tree registered as ``avl``.  ``vector`` (the paper's ``std::vector`` of
+#: pairs) is an unordered linear-probe map like ``dlist``, and every tier
+#: serves and charges the two alike, so it resolves to ``dlist``.  The
+#: aliases keep every existing decomposition string (and mapping file)
+#: parsing unchanged.
 STRUCTURE_ALIASES: Dict[str, str] = {}
 
 
@@ -82,7 +84,8 @@ def register_alias(alias: str, canonical: str) -> None:
 
 
 def canonical_structure_name(name: str) -> str:
-    """Resolve aliases (``btree`` → ``avl``); canonical names pass through.
+    """Resolve aliases (``btree`` → ``avl``, ``vector`` → ``dlist``);
+    canonical names pass through.
 
     The autotuner deduplicates candidate decompositions by canonical shape,
     so a layout written with ``btree`` and one written with ``avl`` count as
@@ -143,18 +146,16 @@ def size_class(n: float) -> int:
 
 
 def default_structure_names() -> List[str]:
-    """The structures the autotuner considers by default.
-
-    ``ivector`` is excluded because it only differs from ``htable`` in
-    constant factors for integer keys, which keeps the autotuner's search
-    space aligned with the paper's (list / tree / hash / vector).
+    """The structures the autotuner considers by default: the paper's list,
+    intrusive list, tree and hash table (its ``vector`` is the ``dlist``
+    alias).
 
     The returned names are validated against :data:`STRUCTURE_REGISTRY` at
     call time, so a renamed or unregistered container fails loudly here
     rather than surfacing later as an unknown-structure error deep inside
     decomposition construction.
     """
-    names = ["dlist", "ilist", "avl", "htable", "vector"]
+    names = ["dlist", "ilist", "avl", "htable"]
     unregistered = [name for name in names if name not in STRUCTURE_REGISTRY]
     if unregistered:
         known = ", ".join(sorted(STRUCTURE_REGISTRY))
@@ -166,7 +167,8 @@ def default_structure_names() -> List[str]:
     return names
 
 
-for _cls in (DListMap, IntrusiveListMap, HashTableMap, AVLTreeMap, VectorMap, IndexedVectorMap):
+for _cls in (DListMap, IntrusiveListMap, HashTableMap, AVLTreeMap):
     register_structure(_cls)
 
 register_alias("btree", "avl")
+register_alias("vector", "dlist")

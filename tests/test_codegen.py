@@ -6,6 +6,7 @@ from repro.codegen import MAX_ENUMERATED_COLUMNS, compile_relation, generate_sou
 from repro.core import ReferenceRelation, RelationInterface, RelationSpec, t
 from repro.core.errors import (
     AdequacyError,
+    FaultInjected,
     FunctionalDependencyError,
     SpecificationError,
     TupleError,
@@ -180,6 +181,85 @@ class TestSchemaShapes:
             assert rel.to_relation() == reference.to_relation()
             assert set(rel.query({"dst": 2})) == set(reference.query({"dst": 2}))
             rel.check_well_formed()
+
+    def test_list_unlink_rides_on_its_probe_and_keeps_order(self):
+        """A list unlink charges nothing past the probe that found its entry
+        and deletes in place, as the interpreted ``dlist`` unlinks: a
+        compiled remove-all pays no more than the interpreted tier's, and a
+        rolled-back remove puts the entry back where it was."""
+        from repro.decomposition import DecomposedRelation
+        from repro.faults import inject
+        from repro.structures.base import COUNTER
+
+        kv = RelationSpec("k, v, w", fds=["k -> v, w"], name="kv")
+        spanning = RelationSpec("node, comp", fds=["node -> comp"], name="component")
+        cases = (
+            (kv, "k -> dlist {v, w}", [t(k=i, v=i % 3, w=-i) for i in range(50)]),
+            (
+                spanning,
+                "[node -> htable {comp} ; comp -> htable (node -> dlist {})]",
+                [t(node=i, comp=i % 7) for i in range(60)],
+            ),
+        )
+        for spec, layout, rows in cases:
+            counts = {}
+            for tier in ("interpreted", "compiled"):
+                if tier == "interpreted":
+                    rel = DecomposedRelation(spec, layout)
+                else:
+                    rel = compile_relation(spec, layout)()
+                for row in rows:
+                    rel.insert(row)
+                with COUNTER:
+                    rel.remove(None)
+                    counts[tier] = COUNTER.accesses
+                assert len(rel) == 0
+            assert counts["compiled"] <= counts["interpreted"], (layout, counts)
+
+        rel = compile_relation(kv, "[k -> dlist {v, w} ; v -> htable k -> htable {w}]")()
+        for i in range(6):
+            rel.insert(t(k=i, v=i % 2, w=i))
+        with inject("codegen.remove.unlink", 2):
+            with pytest.raises(FaultInjected):
+                rel.remove({"k": 2})
+        assert [e[0] for e in rel._root[0]] == [0, 1, 2, 3, 4, 5]
+        rel.remove({"k": 2})
+        assert [e[0] for e in rel._root[0]] == [0, 1, 3, 4, 5]
+
+    def test_list_unlinks_roll_back_in_order_wherever_the_fault_lands(self):
+        """A remove of several rows journals one in-place list delete per
+        row; a fault at any unlink after them re-inserts the deleted
+        entries, latest first, each at the index it left."""
+        from repro.faults import inject
+
+        kv = RelationSpec("k, v, w", fds=["k -> v, w"], name="kv")
+        cls = compile_relation(kv, "[k -> dlist {v, w} ; v -> htable k -> htable {w}]")
+        hit = 0
+        while True:
+            hit += 1
+            rel = cls()
+            for i in range(6):
+                rel.insert(t(k=i, v=i % 2, w=i))
+            try:
+                with inject("codegen.remove.unlink", hit):
+                    rel.remove({"v": 0})
+            except FaultInjected:
+                assert [e[0] for e in rel._root[0]] == [0, 1, 2, 3, 4, 5], hit
+                assert len(rel) == 6
+                rel.check_well_formed()
+                continue
+            break
+        # Each of the 3 rows unlinks from both branches; the last also
+        # prunes its emptied ``v`` node.
+        assert hit == 8
+        assert [e[0] for e in rel._root[0]] == [1, 3, 5]
+
+    def test_alias_layouts_share_one_compiled_class(self):
+        spec = RelationSpec("k, v", fds=["k -> v"], name="kv")
+        for alias, canonical in (("vector", "dlist"), ("btree", "avl")):
+            assert compile_relation(spec, f"k -> {alias} {{v}}") is compile_relation(
+                spec, f"k -> {canonical} {{v}}"
+            )
 
     def test_single_column_spec(self):
         spec = RelationSpec("k", name="presence")

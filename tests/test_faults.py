@@ -15,11 +15,8 @@ an injected failure at every re-tune / migration stage: the old backing
 keeps serving, the failed layout is quarantined, the circuit breaker opens
 after three consecutive failures, and a dual-write window interrupted
 mid-flight aborts with every write in exactly one consistent backing.
-
-``REPRO_CHAOS_OPS`` shortens the differentials (CI quick mode uses 250).
 """
 
-import os
 import random
 import time
 
@@ -41,7 +38,7 @@ from repro.core.errors import (
 from repro.decomposition import DecomposedRelation
 from repro.faults import FAULTS, fault_sites, inject
 
-CHAOS_OPS = int(os.environ.get("REPRO_CHAOS_OPS", "1000"))
+CHAOS_OPS = 1000
 
 #: The shared-subnode scheduler layout: two branches, an intrusive list and
 #: a shared residual node — the layout with the most distinct interleaving
@@ -49,6 +46,13 @@ CHAOS_OPS = int(os.environ.get("REPRO_CHAOS_OPS", "1000"))
 SHARED_LAYOUT = (
     "[ns, pid -> htable (state -> htable @rec)"
     " ; state -> htable (ns, pid -> ilist @rec)] where @rec = {cpu}"
+)
+
+#: README's quickstart layout: a tree under a hash table, and a list in a
+#: copied second branch — the list, tree, store and FD-eviction sites the
+#: shared layout never reaches.
+QUICKSTART_LAYOUT = (
+    "[ns -> htable pid -> btree {state, cpu} ; state -> htable (ns, pid -> dlist {cpu})]"
 )
 
 COLUMNS = ("ns", "pid", "state", "cpu")
@@ -67,13 +71,13 @@ def scheduler_spec():
     return RelationSpec("ns, pid, state, cpu", fds=["ns, pid -> state, cpu"], name="process")
 
 
-def make_tier(tier, enforce_fds):
+def make_tier(tier, enforce_fds, layout):
     spec = scheduler_spec()
     if tier == "reference":
         return ReferenceRelation(spec, enforce_fds=enforce_fds)
     if tier == "interpreted":
-        return DecomposedRelation(spec, SHARED_LAYOUT, enforce_fds=enforce_fds)
-    return compile_relation(spec, SHARED_LAYOUT)(enforce_fds=enforce_fds)
+        return DecomposedRelation(spec, layout, enforce_fds=enforce_fds)
+    return compile_relation(spec, layout)(enforce_fds=enforce_fds)
 
 
 def random_full_tuple(rng):
@@ -134,8 +138,18 @@ def _faulted(mutate, relation, alpha_before):
 
 
 @pytest.mark.parametrize("enforce_fds", [True, False], ids=["fd-on", "fd-off"])
-@pytest.mark.parametrize("tier", ["reference", "interpreted", "compiled"])
-def test_chaos_differential(tier, enforce_fds):
+@pytest.mark.parametrize(
+    "tier, layout",
+    [
+        # The reference tier has no layout: it runs once.
+        pytest.param("reference", None, id="reference"),
+        pytest.param("interpreted", SHARED_LAYOUT, id="interpreted"),
+        pytest.param("compiled", SHARED_LAYOUT, id="compiled"),
+        pytest.param("interpreted", QUICKSTART_LAYOUT, id="interpreted-quickstart"),
+        pytest.param("compiled", QUICKSTART_LAYOUT, id="compiled-quickstart"),
+    ],
+)
+def test_chaos_differential(tier, layout, enforce_fds):
     """The seeded differential with a fault armed at a new site every step.
 
     Sites cycle through the *entire* registry (so every site is swept) with
@@ -143,7 +157,7 @@ def test_chaos_differential(tier, enforce_fds):
     interleaving points deeper inside multi-branch walks.
     """
     rng = random.Random(0xFA117 + (1 if enforce_fds else 0))
-    relation = make_tier(tier, enforce_fds)
+    relation = make_tier(tier, enforce_fds, layout)
     mirror = ReferenceRelation(scheduler_spec(), enforce_fds=enforce_fds)
     sites = fault_sites()
 
@@ -204,13 +218,18 @@ def test_chaos_differential(tier, enforce_fds):
         s for s in fired if s.startswith(TIER_PREFIXES[tier])
     }
     # The reference tier owns only 3 sites (one per mutator, each guarded
-    # by duplicate/FD early-outs), so its quick-mode floor is lower; the
-    # deterministic test below covers each of its sites individually.
-    floor = (1 if tier == "reference" else 3) if CHAOS_OPS >= 250 else 1
+    # by duplicate/FD early-outs), so its floor is lower; the deterministic
+    # test below covers each of its sites individually.
+    floor = 1 if tier == "reference" else 3
     assert len(relevant) >= floor, (
         f"[{tier}] sweep fired only {sorted(relevant)} of its own sites "
         f"(all fired: {sorted(fired)})"
     )
+    if tier == "interpreted" and layout == QUICKSTART_LAYOUT:
+        for container in ("dlist", "avl"):
+            assert any(s.startswith(f"structures.{container}.") for s in fired), (
+                f"the sweep fired no structures.{container}.* site: {sorted(fired)}"
+            )
 
 
 @pytest.mark.parametrize("enforce_fds", [True, False], ids=["fd-on", "fd-off"])

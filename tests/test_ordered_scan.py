@@ -396,36 +396,30 @@ class TestMixedNumericKeys:
         for seed in range(MIXED_SEQUENCES):
             run_mixed(layout, seed)
 
-    def test_nan_key_stays_ordered(self):
-        """NaN equals no number, so it keeps a sort class of its own below
-        the numbers: ranges over the numbers agree on every tier, and the
-        interpreted tree and the compiled snapshot repair still find the
-        NaN key."""
+    def test_nan_is_rejected_on_every_tier(self):
+        """A float NaN equals no value, itself included: a row, pattern,
+        change or range bound holding one raises on every tier and leaves
+        the contents as they were."""
         nan = float("nan")
-        tiers = mixed_tiers("flat")
-        for ts in (3, nan, 1, 2):
-            apply_all(lambda tier: tier.insert(Tuple(ts=ts, v=0)), tiers)
-        expected = tiers["reference"].query_range("ts", 1, 2)
-        assert [r["ts"] for r in expected] == [1, 2]
-        for name, tier in tiers.items():
-            assert tier.query_range("ts", 1, 2) == expected, name
-        tree = AVLTreeMap()
-        for ts in (3, nan, 1, 2):
-            tree.insert(Tuple(ts=ts), ts)
-        assert tree.lookup(Tuple(ts=nan)) is nan
-        assert tree.remove(Tuple(ts=nan)) and tree.check_invariants()
-        assert [key["ts"] for key, _ in tree.items()] == [1, 2, 3]
-        # The compiled tier's dict probes find the NaN key by identity (the
-        # other tiers match no row to a NaN pattern); its snapshot repair
-        # must match the key the same way.
-        compiled = tiers["compiled"]
-        for ts in range(4, 20):
-            compiled.insert(Tuple(ts=ts, v=0))
-        compiled.query_range("ts")
-        compiled.remove(Tuple(ts=nan))
-        assert compiled._rlog == {nan}
-        assert [r["ts"] for r in compiled.query_range("ts")] == list(range(1, 20))
-        assert snapshot_is_fresh(compiled)
+        operations = (
+            lambda r: r.insert({"ts": nan, "v": 0}),
+            lambda r: r.query({"ts": nan}),
+            lambda r: r.remove({"v": nan}),
+            lambda r: r.update({"ts": nan}, {"v": 1}),
+            lambda r: r.update({"ts": 1}, {"v": nan}),
+            lambda r: r.query_range("ts", nan, 3),
+            lambda r: r.query_range("ts", None, nan),
+            lambda r: r.query_range("v", nan),
+        )
+        for layout in sorted(MIXED_LAYOUTS):
+            tiers = mixed_tiers(layout)
+            apply_all(lambda tier: tier.insert({"ts": 1, "v": 2}), tiers)
+            for name, tier in tiers.items():
+                before = tier.to_relation()
+                for operation in operations:
+                    with pytest.raises(ValueError, match="NaN"):
+                        operation(tier)
+                    assert tier.to_relation() == before, (layout, name)
 
 
 class TestRangeSnapshotKeyLog:

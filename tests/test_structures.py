@@ -4,13 +4,15 @@ import pytest
 
 from repro.codegen import compile_relation
 from repro.core import RelationSpec, t
-from repro.core.errors import DecompositionError
+from repro.core.errors import DecompositionError, FaultInjected
 from repro.decomposition import DecomposedRelation
+from repro.faults import FAULTS, inject
 from repro.structures import (
     COUNTER,
     MISSING,
     STRUCTURE_REGISTRY,
     AVLTreeMap,
+    DListMap,
     default_structure_names,
     get_structure,
     register_structure,
@@ -97,6 +99,38 @@ class TestContract:
         assert small >= 1.0
         assert large >= small
         assert cls.scan_cost(100) >= 1.0
+
+
+#: Every instrumented (container, operation) pair: one named fault site each.
+FAULT_OPS = [(name, op) for name in ALL_NAMES for op in STRUCTURE_REGISTRY[name].FAULT_OPS]
+
+
+@pytest.mark.parametrize("name, op", FAULT_OPS, ids=[f"{n}.{o}" for n, o in FAULT_OPS])
+def test_each_operation_checks_its_own_fault_site_first(name, op):
+    """Each site the registry names for a container fires, under that
+    container's own name, before the operation changes anything.  An
+    operation inherited from another container (``ilist`` derives from
+    ``dlist``) would check the parent's site instead, leaving its own dead."""
+    container = STRUCTURE_REGISTRY[name]()
+    value = object()
+    container.insert(t(k=1), value)
+    container.insert(t(k=2), "b")
+    before = list(container.items())
+    calls = {
+        "insert": lambda: container.insert(t(k=3), "c"),
+        "insert_unique": lambda: container.insert_unique(t(k=3), "c"),
+        "lookup": lambda: container.lookup(t(k=1)),
+        "remove": lambda: container.remove(t(k=1)),
+        "remove_value": lambda: container.remove_value(t(k=1), value),
+    }
+    site = f"structures.{name}.{op}"
+    FAULTS.reset_stats()
+    with inject(site):
+        with pytest.raises(FaultInjected):
+            calls[op]()
+    assert FAULTS.fired_sites() == [site]
+    assert list(container.items()) == before
+    calls[op]()  # the one-shot plan disarmed itself
 
 
 class TestStructureSpecifics:
@@ -214,21 +248,30 @@ class TestRegistry:
         with pytest.raises(DecompositionError, match="already registered as an alias"):
             register_structure(Impostor)
 
-    def test_btree_alias_resolves_to_avl(self):
+    @pytest.mark.parametrize(
+        "alias, canonical, cls",
+        [("btree", "avl", AVLTreeMap), ("vector", "dlist", DListMap)],
+        ids=["btree", "vector"],
+    )
+    def test_btree_alias_resolves_to_avl(self, alias, canonical, cls):
         from repro.structures.registry import canonical_structure_name
 
-        assert AVLTreeMap.NAME == "avl"
-        assert get_structure("btree") is AVLTreeMap
-        assert get_structure("avl") is AVLTreeMap
-        assert canonical_structure_name("btree") == "avl"
-        assert canonical_structure_name("avl") == "avl"
-        assert "avl" in STRUCTURE_REGISTRY and "btree" not in STRUCTURE_REGISTRY
-        # Decomposition strings written with either name keep parsing.
+        assert cls.NAME == canonical
+        assert get_structure(alias) is cls
+        assert get_structure(canonical) is cls
+        assert canonical_structure_name(alias) == canonical
+        assert canonical_structure_name(canonical) == canonical
+        assert canonical in STRUCTURE_REGISTRY and alias not in STRUCTURE_REGISTRY
+        # Decomposition strings written with either name keep parsing, and
+        # the autotuner counts them as one candidate shape.
         from repro.decomposition import parse_decomposition
 
-        for name in ("btree", "avl"):
-            parsed = parse_decomposition(f"ns, pid -> {name} {{state, cpu}}")
-            assert parsed.root.edges[0].structure_class() is AVLTreeMap
+        parsed = [
+            parse_decomposition(f"ns, pid -> {name} {{state, cpu}}") for name in (alias, canonical)
+        ]
+        for d in parsed:
+            assert d.root.edges[0].structure_class() is cls
+        assert parsed[0].canonical_shape() == parsed[1].canonical_shape()
 
     def test_register_requires_name(self):
         from repro.structures import AssociativeContainer

@@ -66,6 +66,25 @@ class TestValues:
         with pytest.raises(TypeError):
             ensure_value(set())
 
+    def test_nan_is_rejected_where_values_enter(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="NaN"):
+            ensure_value(nan)
+        for build in (
+            lambda: t(a=nan),
+            lambda: Tuple({"a": 1, "b": nan}),
+            lambda: t(a=1).with_value("a", nan),
+        ):
+            with pytest.raises(ValueError, match="NaN"):
+                build()
+
+    def test_infinities_and_signed_zero_stay_values(self):
+        inf = float("inf")
+        for value in (inf, -inf, -0.0):
+            assert ensure_value(value) == value
+        assert t(a=-0.0) == t(a=0)
+        assert sorted([inf, 1, -inf, -0.0, 0.5], key=value_sort_key) == [-inf, -0.0, 0.5, 1, inf]
+
     def test_sort_key_orders_mixed_types_without_error(self):
         values = [3, "b", 1, "a", None, 2.5]
         ordered = sorted(values, key=value_sort_key)
