@@ -29,8 +29,8 @@ The claims:
 * ``sharing``, ``join``, ``retune`` and ``scorer`` — the rows of
   :data:`CLAIMS`.  ``scorer`` holds when, on every workload, the
   autotuner's exact replay of the primary hand layout counts what the
-  interpreted tier's replay through the public API counts: the scorer's
-  result-free reads make exactly the public reads' container calls.
+  compiled tier's replay through the public API counts: the tuner scores
+  each layout on the class that would serve it.
 """
 
 from __future__ import annotations
@@ -89,13 +89,13 @@ CLAIMS = [
     ("retune", "retune.new_tail_accesses", ">", 0),
     ("retune", "retune.new_tail_accesses", "<", Field("retune.old_tail_accesses")),
     # §5: the scorer counts the primary hand layout's replay as the
-    # interpreted tier's public replay of the same trace does.
+    # compiled tier's public replay of the same trace does.
 ] + [
     (
         "scorer",
         f"workloads.{name}.autotuned.hand_written.primary.accesses",
         "==",
-        Field(f"workloads.{name}.tiers.interpreted.accesses"),
+        Field(f"workloads.{name}.tiers.compiled.accesses"),
     )
     for name in WORKLOADS
 ]

@@ -55,6 +55,7 @@ __all__ = [
     "replay",
     "measure_join_benefit",
     "measure_retune",
+    "tail_accesses",
 ]
 
 TIERS = ("reference", "interpreted", "compiled")
@@ -86,24 +87,28 @@ def make_tier(tier: str, workload: Workload) -> RelationInterface:
     dispatch overhead; the live facade is measured separately by the
     ``retune`` section.
     """
-    sizes = None
     if tier == "compiled":
-        decomposition = parse_decomposition(workload.layout)
-        sizes = estimate_edge_sizes(
-            decomposition, Trace.from_workload(workload).profile()
-        )
-        return repro.open(workload.spec, decomposition, tier=tier, sizes=sizes)
+        return _open_compiled(workload, workload.layout)
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}")
     return repro.open(workload.spec, workload.layout, tier=tier)
 
 
+def _open_compiled(workload: Workload, layout: str) -> RelationInterface:
+    """*layout* on the compiled tier, its plan table ranked at the container
+    sizes estimated from *workload*'s trace (as the autotuner compiles)."""
+    decomposition = parse_decomposition(layout)
+    sizes = estimate_edge_sizes(decomposition, Trace.from_workload(workload).profile())
+    return repro.open(workload.spec, decomposition, tier="compiled", sizes=sizes)
+
+
 def replay(relation: RelationInterface, trace: List[tuple]) -> int:
     """Apply every operation of *trace* to *relation*; returns the op count.
 
-    Delegates to the autotuner's public replay loop.  The autotuner's own
-    exact replay builds no read results; that its scores equal these
-    counts is checked by the ``scorer`` claim of ``benchmarks/check.py``.
+    Delegates to the autotuner's public replay loop, which the autotuner's
+    exact replay also runs on each candidate's compiled class; that its
+    scores equal the compiled tier's counts is checked by the ``scorer``
+    claim of ``benchmarks/check.py``.
     """
     return replay_operations(relation, trace)
 
@@ -113,8 +118,9 @@ def run_autotuner(workload: Workload) -> Dict:
 
     Every hand-written layout (the workload's primary plus its
     ``alternatives``) is force-included in the exact replay phase, so the
-    report shows the synthesized winner's interpreted-tier access count
-    side by side with each of them — all on the identical trace.
+    report shows the synthesized winner's compiled-tier access count side
+    by side with each of them — all on the identical trace, each counted
+    on the class that would serve it.
     """
     hand_layouts = workload.hand_layouts()
     result = autotune(
@@ -128,18 +134,10 @@ def run_autotuner(workload: Workload) -> Dict:
         candidate = by_shape[canonical_shape(parse_decomposition(layout))]
         hand_report[name] = {"layout": layout, "accesses": candidate.accesses}
 
-    # The winner also gets a compiled-tier instrumented replay, comparable
-    # with the hand layout's "compiled" tier accesses.
-    compiled_cls = result.compile_winner()
-    with COUNTER:
-        replay(compiled_cls(), workload.trace)
-        compiled_accesses = COUNTER.accesses
-
     best_hand = min(hand_report.values(), key=lambda h: h["accesses"])
     report = {
         "layout": result.winner_layout,
         "accesses": result.winner.accesses,
-        "compiled_accesses": compiled_accesses,
         "candidates_enumerated": len(result.candidates),
         "candidates_replayed": len(result.replayed),
         "pareto": [
@@ -295,9 +293,6 @@ def measure_retune(workload: Workload) -> Dict:
     from repro.live import SamplingTraceRecorder
 
     assert workload.tail_start is not None, "drift workloads must set tail_start"
-    head = workload.trace[: workload.tail_start]
-    tail = workload.trace[workload.tail_start :]
-
     live = repro.open(
         workload.spec,
         workload.layout,
@@ -312,15 +307,8 @@ def measure_retune(workload: Workload) -> Dict:
     swaps = [r for r in live.retunes if r.swapped]
     new_layout = live.backing_layout()
 
-    def tail_accesses(layout: str) -> int:
-        relation = repro.open(workload.spec, layout, tier="compiled")
-        replay(relation, head)
-        with COUNTER:
-            replay(relation, tail)
-            return COUNTER.accesses
-
-    old_tail = tail_accesses(workload.layout)
-    new_tail = tail_accesses(new_layout)
+    old_tail = tail_accesses(workload, workload.layout)
+    new_tail = tail_accesses(workload, new_layout)
 
     return {
         "workload": workload.name,
@@ -338,6 +326,20 @@ def measure_retune(workload: Workload) -> Dict:
         "new_tail_accesses": new_tail,
         "speedup": round(old_tail / new_tail, 2) if new_tail else None,
     }
+
+
+def tail_accesses(workload: Workload, layout: str) -> int:
+    """The compiled accesses of *workload*'s drifted tail on *layout*.
+
+    A fresh instance of *layout*, compiled at the container sizes estimated
+    from the workload's trace (as :func:`make_tier` opens the compiled
+    tier), replays the head uncounted and the tail counted.
+    """
+    relation = _open_compiled(workload, layout)
+    replay(relation, workload.trace[: workload.tail_start])
+    with COUNTER:
+        replay(relation, workload.trace[workload.tail_start :])
+        return COUNTER.accesses
 
 
 def run_all(quick: bool = False) -> Dict:

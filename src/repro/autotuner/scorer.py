@@ -12,29 +12,30 @@ pattern.  The tuner computes that once per shape (:class:`ShapeCosts`) and
 only prices each container assignment against it, so ranking the roughly
 hundred assignments of each shape costs little more than one of them.
 
-Phase 2 — **exact replay** (:func:`exact_accesses`): the surviving
-candidates replay the full trace on the interpreted tier under the
-library-wide :class:`~repro.structures.base.OperationCounter`, giving the
-deterministic, machine-independent access count the benchmark harness also
-reports.  Mutations run through the public API; reads make exactly the
-public reads' container calls and build no result.  The benchmark
-checker's ``scorer`` claim compares these counts with a replay through the
-public API on every workload.  The final ranking — and the Pareto front
-over (accesses, memory proxy) — uses these exact numbers.
+Phase 2 — **exact replay** (:func:`exact_accesses`): each surviving
+candidate is compiled into the class that would serve it
+(:func:`~repro.codegen.compile_relation`, planned at the trace-estimated
+container sizes) and replays the full trace through the public API under
+the library-wide :class:`~repro.structures.base.OperationCounter`, giving
+the deterministic, machine-independent compiled-tier access count the
+benchmark harness also reports.  The final ranking — and the Pareto front
+over (accesses, memory proxy) — uses these exact numbers, and the winner's
+class is a class-cache hit when :meth:`TuningResult.compile_winner` asks
+for it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..codegen import compile_relation
 from ..core.spec import RelationSpec
 from ..decomposition.model import Decomposition, MapEdge
 from ..decomposition.plan import candidate_plans, plan_rank, residual_update_columns
-from ..decomposition.relation import DecomposedRelation
 from ..structures.base import COUNTER
 from ..structures.registry import structure_cost
 from .enumerator import shape_skeleton
-from .trace import Trace, TraceProfile
+from .trace import Trace, TraceProfile, replay_operations
 
 __all__ = [
     "ScoredCandidate",
@@ -280,37 +281,28 @@ def exact_accesses(
     enforce_fds: bool = True,
     spec: Optional[RelationSpec] = None,
 ) -> int:
-    """Replay *trace* on the interpreted tier; return the exact access count.
+    """Replay *trace* on the compiled tier; return the exact access count.
 
-    Mutations run through the relation's public ``insert``, ``remove`` and
-    ``update``.  Queries and range reads make exactly the container calls
-    the public ``query`` and ``query_range`` make, on the same plan or
-    ordered-root descent, and build no result: a read's rows are never
-    counted, only the container calls that find them.  So the count is the
-    one a replay through the public API gives (the number the benchmark
-    harness records for the interpreted tier, which its ``scorer`` claim
-    checks on every quick workload), deterministic and machine-independent.
-    *spec* is the specification the relation is built against (default:
-    the trace's own); the tuner passes the specification being tuned, so
+    The candidate is compiled as :meth:`TuningResult.compile_winner`
+    compiles a winner: FD mode *enforce_fds*, plan table ranked at the
+    trace-estimated container sizes (:func:`estimate_edge_sizes`).  A fresh
+    instance replays every operation through the public API
+    (:func:`~repro.autotuner.trace.replay_operations`), so the count is the
+    one serving that class pays, deterministic and machine-independent.
+    *spec* is the specification the class is compiled for (default: the
+    trace's own); the tuner passes the specification being tuned, so
     candidates are scored under exactly the FD semantics the winner will
     be compiled with.
     """
-    relation = DecomposedRelation(spec or trace.spec, decomposition, enforce_fds=enforce_fds)
-    insert, remove, update = relation.insert, relation.remove, relation.update
-    query, query_range = relation._charge_query, relation._charge_range
+    cls = compile_relation(
+        spec or trace.spec,
+        decomposition,
+        enforce_fds_default=enforce_fds,
+        sizes=estimate_edge_sizes(decomposition, trace.profile()),
+    )
+    relation = cls()
     with COUNTER:
-        for op in trace.operations:
-            kind = op[0]
-            if kind == "insert":
-                insert(op[1])
-            elif kind == "remove":
-                remove(op[1])
-            elif kind == "update":
-                update(op[1], op[2])
-            elif kind == "query":
-                query(op[1], op[2])
-            else:  # "range": a Trace holds only the five validated kinds.
-                query_range(op[1], op[2], op[3])
+        replay_operations(relation, trace.operations)
         return COUNTER.accesses
 
 

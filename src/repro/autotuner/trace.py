@@ -235,12 +235,10 @@ class Trace:
 def replay_operations(relation: RelationInterface, operations: List[Operation]) -> int:
     """Apply raw ``(kind, *args)`` operations to *relation*; return the count.
 
-    The replay loop of :func:`replay_trace` and ``benchmarks.harness.replay``.
-    The autotuner's exact replay
-    (:func:`~repro.autotuner.scorer.exact_accesses`) runs its own loop,
-    whose reads build no result; that its counts equal this loop's on the
-    interpreted tier is checked by the ``scorer`` claim of
-    ``benchmarks/check.py`` and by ``tests/test_autotuner.py``.
+    The replay loop of :func:`replay_trace`, ``benchmarks.harness.replay``
+    and the autotuner's exact replay
+    (:func:`~repro.autotuner.scorer.exact_accesses`), which runs it on each
+    candidate's compiled class.
     """
     insert = relation.insert
     remove = relation.remove

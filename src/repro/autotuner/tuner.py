@@ -124,7 +124,11 @@ class TuningResult:
         workload without raising.  The compile-time plan table is ranked
         against the trace's estimated per-edge container sizes, so plans
         that only pay off at the workload's data distribution — notably
-        cross-branch joins on split-pattern queries — are compiled in.
+        cross-branch joins on split-pattern queries — are compiled in.  It
+        is the class the exact replay scored the winner on
+        (:func:`~repro.autotuner.scorer.exact_accesses`), so without a
+        *class_name* the call is a class-cache hit while the bounded cache
+        still holds it.
         """
         return compile_relation(
             self.spec,

@@ -21,9 +21,10 @@ Containers are lowered according to each structure's ``CODEGEN_STRATEGY``:
 hash-like structures become Python dicts charged one access per probe,
 tree-like structures become dicts charged ``log2(n)`` accesses (the cost
 model of a balanced tree), list-like structures become real entry lists
-with linear search, and intrusive structures (``ilist``) become dicts with
-list-honest charging — key *searches* cost ``n`` accesses, but linking a
-known-new entry and unlinking a held entry cost 1 — so compiled layouts
+with linear search, and intrusive structures (``ilist``) into a shared
+child become dicts with list-honest charging — key *searches* cost ``n``
+accesses, but linking a known-new entry and unlinking a held entry cost 1
+(into an unshared child an ``ilist`` lowers as a list) — so compiled layouts
 keep honest asymptotics and :class:`~repro.structures.base.OperationCounter`
 numbers remain comparable across the interpreted and compiled tiers.
 
@@ -120,10 +121,6 @@ for _site in (
 MAX_ENUMERATED_COLUMNS = 6
 
 _generated_modules = _count_from()
-
-
-def _strategy(edge: MapEdge) -> str:
-    return getattr(edge.structure_class(), "CODEGEN_STRATEGY", "hash")
 
 
 def _default_class_name(decomposition_name: str) -> str:
@@ -236,7 +233,7 @@ class _RelationCompiler:
         return f"{inst_expr}[{edge_index}]"
 
     def _node_literal(self, node: DecompNode) -> str:
-        parts = ["_L()" if _strategy(e) == "list" else "{}" for e in node.edges]
+        parts = ["_L()" if self._strategy(e) == "list" else "{}" for e in node.edges]
         if len(parts) == 1:
             return parts[0]
         return "[" + ", ".join(parts) + "]"
@@ -249,6 +246,16 @@ class _RelationCompiler:
 
     def _is_shared(self, node: DecompNode) -> bool:
         return id(node) in self.shared_index
+
+    def _strategy(self, edge: MapEdge) -> str:
+        """How *edge*'s container is lowered: its structure's
+        ``CODEGEN_STRATEGY``, except that an intrusive list into an unshared
+        child holds no record to unlink by reference and lowers as a plain
+        list (the interpreted ``ilist`` is a ``dlist`` there too)."""
+        strategy = getattr(edge.structure_class(), "CODEGEN_STRATEGY", "hash")
+        if strategy == "intrusive" and not self._is_shared(edge.child):
+            return "list"
+        return strategy
 
     def _bk_expr(self, node: DecompNode, val: Callable[[str], str]) -> str:
         """The registry key of a shared node: a tuple over its sorted bound
@@ -274,7 +281,7 @@ class _RelationCompiler:
         paid for it — hash, tree and list links and unlinks ride on that
         charge, but an intrusive unlink still pays its O(1) pointer splice
         (its probe was a key *search*)."""
-        strategy = _strategy(edge)
+        strategy = self._strategy(edge)
         if paid and not (op == "unlink" and strategy == "intrusive"):
             return
         if op == "scan":
@@ -317,7 +324,7 @@ class _RelationCompiler:
             self.em.fault_check(site)
         if edge is not None:
             self._emit_charge(edge, c, op, paid)
-        if edge is not None and _strategy(edge) == "list":
+        if edge is not None and self._strategy(edge) == "list":
             # The runtime helpers walk, journal and index list entries; a
             # link appends a known-new entry and indexes it here.  An unlink
             # no probe paid for first walks to the entry, charging the walk.
@@ -411,7 +418,7 @@ class _RelationCompiler:
         # distinguishable from an absent entry.
         if charge:
             self._emit_charge(edge, cexpr)
-        if _strategy(edge) == "list":
+        if self._strategy(edge) == "list":
             self.em.line(f"{target} = _l_get({cexpr}, {kexpr})")
         else:
             self.em.line(f"{target} = {cexpr}.get({kexpr}, _MISS)")
@@ -513,7 +520,7 @@ class _RelationCompiler:
                 self._emit_charge(e, cvar, "scan")
                 kvar = self._gensym("k")
                 nvar = self._gensym("n")
-                if _strategy(e) == "list":
+                if self._strategy(e) == "list":
                     entry = self._gensym("t")
                     em.line(f"for {entry} in {cvar}:")
                     em.push()

@@ -46,14 +46,11 @@ search enumerate candidate chains through one shared helper,
 listing and the rank the autotuner's static scorer also prices each
 container assignment of a shape with.  :func:`execute_plan` runs any plan
 of the IR against a :class:`~repro.decomposition.instance.DecompositionInstance`
-through one eager chain walker (:func:`walk_chain`), which either collects
-the rows or, for the autotuner's exact replay, only makes the container
-calls (:func:`walk_plan`).
+through one eager chain walker (:func:`walk_chain`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple as PyTuple, Union
 
 from ..core.columns import ColumnSet, columns, format_columns
@@ -96,9 +93,6 @@ EdgeSizes = Mapping[MapEdge, float]
 #: the autotuner prices one shape's plans under each container assignment
 #: of that shape (see :func:`repro.autotuner.scorer.static_cost`).
 EdgeStructures = Mapping[MapEdge, str]
-
-#: Runs an iterator to its end at C speed, keeping nothing.
-_drain = deque(maxlen=0).extend
 
 
 class LookupStep:
@@ -780,29 +774,9 @@ def execute_plan(
     (``style == "hash"``, charged one counted access per temporary insert
     and probe, mirroring the compiled tier).
 
-    Eager: every row is collected by :func:`walk_plan` before the first is
+    Eager: every row is collected by :func:`walk_chain` before the first is
     returned.  The container calls are the ones a lazy walk makes when
     drained, and the rows come in the same depth-first order.
-    """
-    rows: List[Tuple] = []
-    walk_plan(plan, instance, pattern, rows)
-    return iter(rows)
-
-
-def walk_plan(
-    plan: AnyPlan,
-    instance: DecompositionInstance,
-    pattern: Tuple,
-    rows: Optional[List[Tuple]] = None,
-) -> None:
-    """Walk *plan* over *instance*, appending the full matching tuples to
-    *rows*.
-
-    Without *rows* the walk makes exactly the container calls and
-    temporary-hash charges of a collecting walk and builds no tuple: the
-    exact replay of :func:`~repro.autotuner.scorer.exact_accesses` counts a
-    read without paying for its result.  A join still collects both sides,
-    since the probe side is bound by the build side's rows.
     """
     if not plan.pattern_columns <= pattern.columns:
         raise QueryPlanError(
@@ -810,24 +784,21 @@ def walk_plan(
             f"execute pattern {pattern!r}: the pattern must bind at least the "
             f"planned columns"
         )
+    rows: List[Tuple] = []
     if isinstance(plan, JoinPlan):
-        _walk_join(plan, instance, pattern, [] if rows is None else rows)
-    elif rows is None:
-        walk_chain(plan.steps, pattern, [instance.root])
+        _walk_join(plan, instance.root, pattern, rows)
     else:
-        walk_chain(plan.steps, pattern, [instance.root], [Tuple.empty()], rows)
+        walk_chain(plan.steps, pattern, instance.root, rows)
+    return iter(rows)
 
 
-def _walk_join(
-    plan: JoinPlan, instance: DecompositionInstance, pattern: Tuple, rows: List[Tuple]
-) -> None:
-    root, empty = [instance.root], [Tuple.empty()]
+def _walk_join(plan: JoinPlan, root: NodeInstance, pattern: Tuple, rows: List[Tuple]) -> None:
     build_rows: List[Tuple] = []
-    walk_chain(plan.build.steps, pattern, root, empty, build_rows)
+    walk_chain(plan.build.steps, pattern, root, build_rows)
     if plan.style == "probe":
         for left in build_rows:
             probe_rows: List[Tuple] = []
-            walk_chain(plan.probe.steps, pattern.merge(left), root, empty, probe_rows)
+            walk_chain(plan.probe.steps, pattern.merge(left), root, probe_rows)
             rows.extend(left.merge(right) for right in probe_rows)
         return
     on = sorted(plan.on)
@@ -836,81 +807,50 @@ def _walk_join(
         COUNTER.count_access()  # Temporary-hash insert.
         table.setdefault(left.project(on), []).append(left)
     probe_rows = []
-    walk_chain(plan.probe.steps, pattern, root, empty, probe_rows)
+    walk_chain(plan.probe.steps, pattern, root, probe_rows)
     for right in probe_rows:
         COUNTER.count_access()  # Temporary-hash probe.
         rows.extend(left.merge(right) for left in table.get(right.project(on), ()))
 
 
 def walk_chain(
-    steps: Sequence[PlanStep],
-    pattern: Tuple,
-    nodes: List[NodeInstance],
-    bindings: Optional[List[Tuple]] = None,
-    rows: Optional[List[Tuple]] = None,
+    steps: Sequence[PlanStep], pattern: Tuple, root: NodeInstance, rows: List[Tuple]
 ) -> None:
-    """Walk *steps* down from *nodes*, one level at a time.
+    """Walk *steps* down from *root*, one level at a time, appending to
+    *rows* each full tuple that matches *pattern*.
 
     A lookup step probes each node's container with the pattern's value of
     the step's key; a scan step visits every entry and descends where the
     key matches the pattern.  The key is tested only when it shares a
-    column with the pattern: otherwise it matches trivially.
-
-    With *rows*, *bindings* holds each node's bound tuple, keys are merged
-    into the bindings as the walk descends, and each unit leaf whose merged
-    tuple matches *pattern* is appended to *rows*.  Each level keeps its
-    parents' order, so the rows come in depth-first order.  Without *rows*
-    the walk makes the same container calls but merges no binding and
-    builds no row.  It does not visit the leaves, which hold no container,
-    so a last scan step only drains its containers: which of their entries
-    match no longer matters.
+    column with the pattern: otherwise it matches trivially.  Each node
+    carries its bound tuple, the keys merged on the way down; each unit
+    leaf whose merged tuple matches *pattern* gives a row.  Each level
+    keeps its parents' order, so the rows come in depth-first order.
     """
     columns_bound = pattern.columns
-    last = len(steps) - 1
-    for depth, step in enumerate(steps):
+    nodes, bindings = [root], [Tuple.empty()]
+    for step in steps:
         if not nodes:
             return
         index = step.edge_index
-        if rows is None and depth == last and type(step) is ScanStep:
-            for node in nodes:
-                _drain(node.containers[index].items())
-            return
         found: List[NodeInstance] = []
+        merged: List[Tuple] = []
         if type(step) is LookupStep:
             key = pattern.project(step.edge.key)
-            if rows is None:
-                for node in nodes:
-                    child = node.containers[index].lookup(key)
-                    if child is not MISSING:
-                        found.append(child)
-            else:
-                merged: List[Tuple] = []
-                for node, binding in zip(nodes, bindings):
-                    child = node.containers[index].lookup(key)
-                    if child is not MISSING:
-                        found.append(child)
-                        merged.append(binding.merge(key))
-                bindings = merged
+            for node, binding in zip(nodes, bindings):
+                child = node.containers[index].lookup(key)
+                if child is not MISSING:
+                    found.append(child)
+                    merged.append(binding.merge(key))
         else:
             test = not step.edge.key.isdisjoint(columns_bound)
-            if rows is None:
-                for node in nodes:
-                    for entry_key, child in node.containers[index].items():
-                        if test and not entry_key.matches(pattern):
-                            continue
-                        found.append(child)
-            else:
-                merged = []
-                for node, binding in zip(nodes, bindings):
-                    for entry_key, child in node.containers[index].items():
-                        if test and not entry_key.matches(pattern):
-                            continue
-                        found.append(child)
-                        merged.append(binding.merge(entry_key))
-                bindings = merged
-        nodes = found
-    if rows is None:
-        return
+            for node, binding in zip(nodes, bindings):
+                for entry_key, child in node.containers[index].items():
+                    if test and not entry_key.matches(pattern):
+                        continue
+                    found.append(child)
+                    merged.append(binding.merge(entry_key))
+        nodes, bindings = found, merged
     for node, binding in zip(nodes, bindings):
         unit = node.unit_value
         if unit is None:

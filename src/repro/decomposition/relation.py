@@ -23,17 +23,7 @@ from ..core.tuples import Tuple
 from .instance import DecompositionInstance
 from .model import Decomposition
 from .parser import parse_decomposition
-from .plan import (
-    AnyPlan,
-    LookupStep,
-    QueryPlan,
-    ScanStep,
-    execute_plan,
-    plan_query,
-    residual_update_columns,
-    walk_chain,
-    walk_plan,
-)
+from .plan import AnyPlan, execute_plan, plan_query, residual_update_columns
 
 __all__ = ["DecomposedRelation"]
 
@@ -212,19 +202,6 @@ class DecomposedRelation(RelationInterface):
         """
         pattern = coerce_tuple(pattern)
         self.spec.check_partial_tuple(pattern, role="removal pattern")
-        plan = self.plan_for(pattern.columns)
-        if type(plan) is QueryPlan and all(
-            type(step) is LookupStep for step in plan.steps
-        ):
-            # Fully-indexed pattern: every step is a keyed lookup, so the
-            # descent reaches at most one unit leaf — remove that single
-            # victim with no deduplication and no outer journal
-            # (``remove_tuple`` is itself atomic).  The probe sequence is
-            # identical to the materialising path.
-            victim = next(execute_plan(plan, self.instance, pattern), None)
-            if victim is not None:
-                self.instance.remove_tuple(victim)
-            return
         removed: List[Tuple] = []
         try:
             for victim in self._matches(pattern):
@@ -334,63 +311,19 @@ class DecomposedRelation(RelationInterface):
         key order; each group is sorted by tuple sort key, matching the
         generic tier-independent ordering bit for bit.
         """
-        descent = self._range_descent(column, lo, hi)
-        if descent is None:
-            return super().query_range(column, lo, hi)
-        in_range, steps = descent
-        results: List[Tuple] = []
-        for key, child in in_range:
-            group: List[Tuple] = []
-            walk_chain(steps, Tuple.empty(), [child], [key], group)
-            group.sort(key=Tuple.sort_key)
-            results.extend(group)
-        return results
-
-    # -- result-free reads (the autotuner's exact replay) -------------------------
-
-    def _charge_query(
-        self,
-        pattern: Union[Tuple, Mapping, None] = None,
-        output: Union[str, Iterable[str], None] = None,
-    ) -> None:
-        """Make exactly the container calls :meth:`query` makes, with the
-        same validation, and build no result."""
-        pattern = coerce_tuple(pattern)
-        self.spec.check_partial_tuple(pattern, role="query pattern")
-        if output is not None:
-            self.spec.check_output_columns(output)
-        walk_plan(self.plan_for(pattern.columns), self.instance, pattern)
-
-    def _charge_range(self, column, lo=None, hi=None) -> None:
-        """Make exactly the container calls :meth:`query_range` makes and
-        build no result: the ordered root's descent, or else the unbound
-        plan's scan that the inherited filtered full scan runs."""
-        descent = self._range_descent(column, lo, hi)
-        if descent is None:
-            self._charge_query()
-            return
-        in_range, steps = descent
-        walk_chain(steps, Tuple.empty(), [child for _, child in in_range])
-
-    def _range_descent(self, column, lo, hi):
-        """For a root edge keyed by exactly *column* in an ordered container:
-        its ``(key, child)`` entries within ``[lo, hi]``, and the scan steps
-        down each child's primary branch (the walk of
-        :meth:`DecompositionInstance.iter_tuples`).  ``None`` when the root
-        has no such edge."""
         wanted = self.spec.check_output_columns(column)
         root = self.instance.root
         for container, e in zip(root.containers, root.node.edges):
             if e.key == wanted and e.structure_class().ORDERED:
                 lo_bound = Tuple({column: lo}) if lo is not None else None
                 hi_bound = Tuple({column: hi}) if hi is not None else None
-                steps = []
-                node = e.child
-                while not node.is_unit:
-                    steps.append(ScanStep(node.edges[0], 0))
-                    node = node.edges[0].child
-                return container.items_range(lo_bound, hi_bound), steps
-        return None
+                results: List[Tuple] = []
+                for key, child in container.items_range(lo_bound, hi_bound):
+                    results.extend(
+                        sorted(self.instance._iter(child, key), key=Tuple.sort_key)
+                    )
+                return results
+        return super().query_range(column, lo, hi)
 
     # -- inspection -------------------------------------------------------------
 

@@ -35,12 +35,12 @@ from repro.autotuner import (
 from repro.autotuner.enumerator import shape_skeleton
 from repro.autotuner.scorer import ScoredCandidate, estimate_edge_sizes
 from repro.autotuner.tuner import TIEBREAK_SIZE_SCALE
+from repro.codegen import clear_codegen_cache, codegen_cache_stats, compile_relation
 from repro.core import ReferenceRelation, RelationSpec, Tuple, t
 from repro.core.errors import AdequacyError, AutotunerError, FunctionalDependencyError
 from repro.core.interface import RelationInterface
 from repro.decomposition import (
     DecomposedRelation,
-    JoinPlan,
     is_adequate,
     parse_decomposition,
     plan_query,
@@ -449,16 +449,22 @@ def replayed_layouts(name):
     return workload.spec, trace, layouts
 
 
-class TestResultFreeReplay:
-    """The scorer replays reads without building their results; it must
-    count what a replay through the public API counts."""
+class TestCompiledScoring:
+    """The scorer replays each candidate on the compiled class that would
+    serve it; it must count what a public replay of that tier counts."""
 
     @pytest.mark.parametrize("enforce_fds", [True, False], ids=["fd-on", "fd-off"])
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_scorer_counts_what_the_public_replay_counts(self, name, enforce_fds):
         spec, trace, layouts = replayed_layouts(name)
         for decomposition in layouts:
-            relation = DecomposedRelation(spec, decomposition, enforce_fds=enforce_fds)
+            relation = repro.open(
+                spec,
+                decomposition,
+                tier="compiled",
+                sizes=estimate_edge_sizes(decomposition, trace.profile()),
+                enforce_fds=enforce_fds,
+            )
             with COUNTER:
                 replay_trace(trace, relation)
                 public = COUNTER.accesses
@@ -470,8 +476,11 @@ class TestResultFreeReplay:
         served by an ordered root's descent and one served by the generic
         filtered scan."""
         spec, trace, layouts = replayed_layouts("graph_reverse")
-        primary = replay_trace(trace, DecomposedRelation(spec, layouts[0]))
-        assert isinstance(primary.plan_for("dst"), JoinPlan)
+        primary = compile_relation(
+            spec, layouts[0], sizes=estimate_edge_sizes(layouts[0], trace.profile())
+        )
+        [dst] = [q for q in primary.__repro_meta__["queries"].values() if q["pattern"] == ["dst"]]
+        assert dst["plan"].startswith("join[")
         spec, trace, layouts = replayed_layouts("ordered_scan")
         assert {op[1] for op in trace if op[0] == "range"} == {"ts"}
         ordered_root = [
@@ -479,6 +488,18 @@ class TestResultFreeReplay:
             for d in layouts
         ]
         assert any(ordered_root) and not all(ordered_root)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_the_winner_is_served_by_the_class_that_scored_it(self, name):
+        """``compile_winner()`` finds the class the exact replay compiled
+        for the winner in the class cache."""
+        workload = WORKLOADS[name](QUICK_SCALE)
+        clear_codegen_cache()
+        result = autotune(workload.spec, Trace.from_workload(workload))
+        before = codegen_cache_stats()
+        result.compile_winner()
+        after = codegen_cache_stats()
+        assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
 
 
 class TestSynthesize:

@@ -10,9 +10,7 @@ generic materialise/remove/re-insert machinery:
 * compiled ``update`` with ``_RS``-covered changes dispatches to the
   emitted ``_update_in_place`` (site ``codegen.update.in_place``);
 * compiled ``remove`` with a fully-indexed pattern takes the fused
-  single-victim ``_rm_<mask>`` chain (site ``codegen.remove.batch``);
-* interpreted ``remove`` with a pure-lookup plan streams the single
-  victim straight off the plan generator, with no victim list.
+  single-victim ``_rm_<mask>`` chain (site ``codegen.remove.batch``).
 
 Each path must be *provably taken* (the registered fault site fires when
 armed — a negative probe shows the slow path does not reach it), must be

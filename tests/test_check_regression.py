@@ -3,7 +3,8 @@
 Each claim gets a healthy synthetic report that passes and broken reports
 that fail it — one for every check the checker makes.  Access counts are
 compared strictly, whatever hash configuration a report records;
-wall-clock floors hold in quick and full-length mode alike.
+wall-clock floors hold in quick and full-length mode alike.  One test
+pins a count the harness reports for the ``retune`` claim.
 """
 
 import json
@@ -12,6 +13,8 @@ import pytest
 
 from benchmarks import check
 from benchmarks.check import evaluate
+from benchmarks.harness import tail_accesses
+from benchmarks.workloads import QUICK_SCALE, WORKLOADS
 
 SHARED = (
     "[ns, pid -> htable (state -> htable @rec)"
@@ -31,7 +34,7 @@ def report(mode="quick", accesses=1000, autotuned=400, interpreted=1.0, compiled
             "autotuned": {
                 "accesses": autotuned,
                 "hand_written": {
-                    "primary": {"layout": SHARED, "accesses": accesses},
+                    "primary": {"layout": SHARED, "accesses": accesses // 2},
                     "copied-2branch": {"layout": COPIED, "accesses": 69750},
                 },
             },
@@ -276,3 +279,14 @@ def test_checked_in_reports_carry_every_field_the_claims_read():
     assert {result[claim] for claim in ("tier_ratio", "sharing", "join", "retune", "scorer")} == {
         "PASS"
     }
+
+
+def test_retune_tail_counts_run_on_trace_sized_classes():
+    """The ``retune`` section counts each layout's tail on a class compiled
+    at the trace-estimated container sizes.  Unsized, every container is
+    priced at the planner's default size, where scanning this layout's flat
+    first branch looks no dearer than the ``dst`` index, so the {dst}
+    query compiles as that scan: 20,012 accesses."""
+    workload = WORKLOADS["graph_drift"](QUICK_SCALE)
+    layout = "[dst, src -> htable {weight} ; dst -> htable src -> htable {weight}]"
+    assert tail_accesses(workload, layout) == 1251

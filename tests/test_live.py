@@ -18,6 +18,7 @@ import weakref
 import pytest
 
 import repro
+import repro.autotuner.scorer as scorer_module
 import repro.live as live_module
 from repro import (
     LiveRelation,
@@ -315,9 +316,14 @@ class TestRetune:
         live = self.make_live()
         for _ in range(200):
             live.query(t(src=3), None)
+        first = live.retune()
+        assert first.tuning.winner.accesses == min(c.accesses for c in first.tuning.replayed)
+        generation = live.generation
+        # The sample is unchanged, so the layout the first re-tune left is
+        # already the best the search can find.
         report = live.retune()
         assert not report.swapped
-        assert live.generation == 0
+        assert live.generation == generation
         assert report.new_layout == report.old_layout
         assert report.tuning is not None  # the autotuner did run
 
@@ -541,8 +547,8 @@ def test_background_search_counts_none_of_the_callers_operations(monkeypatch):
     """A background re-tune scores its candidates as a synchronous search of
     the same trace does, although the caller keeps operating on the backing
     while the search replays: only the thread that entered the counter
-    charges it.  The search parks mid-replay, with its counter on, while
-    the caller runs its queries."""
+    charges it.  The search parks halfway through its first candidate's
+    replay, with its counter on, while the caller runs its queries."""
     calls = []
     real_autotune = live_module.autotune
 
@@ -552,16 +558,19 @@ def test_background_search_counts_none_of_the_callers_operations(monkeypatch):
 
     caller = threading.get_ident()
     parked, resume = threading.Event(), threading.Event()
-    real_insert = DecomposedRelation.insert
+    real_replay = scorer_module.replay_operations
 
-    def parking_insert(self, tup):
+    def parking_replay(relation, operations):
         if threading.get_ident() != caller and not parked.is_set():
+            half = len(operations) // 2
+            real_replay(relation, operations[:half])
             parked.set()
             resume.wait(10)
-        return real_insert(self, tup)
+            return real_replay(relation, operations[half:])
+        return real_replay(relation, operations)
 
     monkeypatch.setattr(live_module, "autotune", recorded)
-    monkeypatch.setattr(DecomposedRelation, "insert", parking_insert)
+    monkeypatch.setattr(scorer_module, "replay_operations", parking_replay)
     rng = random.Random(4)
     live = graph_relation(rng, policy={"auto": False, "background": True})
     for _ in range(200):
