@@ -280,6 +280,8 @@ def exact_accesses(
     decomposition: Decomposition,
     enforce_fds: bool = True,
     spec: Optional[RelationSpec] = None,
+    *,
+    profile: Optional[TraceProfile] = None,
 ) -> int:
     """Replay *trace* on the compiled tier; return the exact access count.
 
@@ -292,13 +294,17 @@ def exact_accesses(
     *spec* is the specification the class is compiled for (default: the
     trace's own); the tuner passes the specification being tuned, so
     candidates are scored under exactly the FD semantics the winner will
-    be compiled with.
+    be compiled with.  *profile* is ``trace.profile()``, computed here when
+    not given; the tuner passes the one it profiled once for every
+    candidate.
     """
+    if profile is None:
+        profile = trace.profile()
     cls = compile_relation(
         spec or trace.spec,
         decomposition,
         enforce_fds_default=enforce_fds,
-        sizes=estimate_edge_sizes(decomposition, trace.profile()),
+        sizes=estimate_edge_sizes(decomposition, profile),
     )
     relation = cls()
     with COUNTER:

@@ -331,7 +331,7 @@ def autotune(
 
     for candidate in advancing:
         candidate.accesses = exact_accesses(
-            trace, candidate.decomposition, enforce_fds, spec=spec
+            trace, candidate.decomposition, enforce_fds, spec=spec, profile=profile
         )
 
     replayed = sorted(

@@ -722,22 +722,24 @@ class _RelationCompiler:
                 with self.em.indent():
                     on_conflict(fd)
 
-    def _emit_range_log(self, e: MapEdge, kexpr: str) -> None:
-        """On the ordered root edge serving range reads, log key *kexpr*,
-        just linked into or unlinked from the root container, for the next
-        range read's repair (``sync_range_snapshot``).  A set: a key
-        churned many times is re-checked once.  Logging stops once the log
-        holds more than an eighth of the snapshot's keys, which tells the
-        read to diff the whole key set instead.  A rollback of the write
-        leaves the key logged; the repair re-checks it against the live
-        container and finds it unchanged."""
-        if e is not self.range_edge:
+    def _emit_range_log(self) -> None:
+        """On a layout serving range reads, log the range-column value of
+        the row bound in ``v<i>``, before the writer's first change to that
+        row, for the next range read's repair (``sync_range_snapshot``):
+        the row's root key may be linked or unlinked, and its cached result
+        rows change either way.  A set: a key written many times is
+        re-checked once.  Logging stops once the log holds more than an
+        eighth of the snapshot's keys, which tells the read to diff the
+        whole key set and drop every cached row instead.  A rollback of the
+        write leaves the key logged; the repair re-checks it against the
+        live container and rebuilds its rows unchanged."""
+        if self.range_edge is None:
             return
         em = self.em
         em.line("_rl = self._rlog")
         em.line("if len(_rl) <= len(self._rkeys) >> 3:")
         with em.indent():
-            em.line(f"_rl.add({kexpr})")
+            em.line(f"_rl.add({self._vexpr(next(iter(self.range_edge.key)))})")
 
     def _emit_store_walk(self, node: DecompNode, inst_expr: str, shared_emitted: set) -> None:
         em = self.em
@@ -754,7 +756,6 @@ class _RelationCompiler:
             elif e.child.is_unit:
                 residual = self._residual_expr(e.child, self._vexpr)
                 self._touch("store", cvar, kexpr, residual, e, site="codegen.insert.store")
-                self._emit_range_log(e, kexpr)
             else:
                 nvar = self._gensym("n")
                 self._emit_get(e, nvar, cvar, kexpr)
@@ -762,7 +763,6 @@ class _RelationCompiler:
                 with em.indent():
                     em.line(f"{nvar} = {self._node_literal(e.child)}")
                     self._touch("link", cvar, kexpr, nvar, e, paid=True)
-                    self._emit_range_log(e, kexpr)
                 self._emit_store_walk(e.child, nvar, shared_emitted)
 
     def _emit_shared_store(self, e: MapEdge, cvar: str, kexpr: str, shared_emitted: set) -> None:
@@ -789,7 +789,6 @@ class _RelationCompiler:
         em.line(f"if _sn{j}:")
         with em.indent():
             self._touch("link", cvar, kexpr, cell, e, site="codegen.insert.link_shared")
-            self._emit_range_log(e, kexpr)
         if descend:
             self._emit_store_walk(e.child, cell, shared_emitted)
 
@@ -837,7 +836,6 @@ class _RelationCompiler:
             em.line(f"if {cond}:")
             with em.indent():
                 self._touch("unlink", cvar, kexpr, edge=e, site="codegen.remove.unlink", paid=paid)
-                self._emit_range_log(e, kexpr)
                 if e.child.is_unit:
                     em.line("removed = True")
             em.pop(opened)
@@ -911,9 +909,10 @@ class _RelationCompiler:
         if self.range_edge is not None:
             em.lines(
                 "from bisect import bisect_left as _bl, bisect_right as _br",
+                "from itertools import chain as _chain",
                 "",
-                "from repro.codegen.runtime import intern_rows, sync_range_snapshot",
-                "from repro.core.interface import RelationInterface",
+                "from repro.codegen.runtime import INTERN_BOUND, _hit, intern_rows",
+                "from repro.codegen.runtime import sync_range_snapshot",
                 "from repro.core.values import ensure_value as _EV",
             )
         fd_literals = ", ".join(
@@ -973,11 +972,13 @@ class _RelationCompiler:
             em.line("self._t_cache = {}")
             if self.range_edge is not None:
                 # The ordered-root range cache: a sorted (sort_key, key)
-                # snapshot, and the set of root keys linked or unlinked
+                # snapshot, each key's interned result rows (None until
+                # built), and the set of root keys whose rows were written
                 # since the last range read, from which that read repairs
-                # it (see sync_range_snapshot).
+                # both (see sync_range_snapshot).
                 em.line("self._rord = []")
                 em.line("self._rkeys = []")
+                em.line("self._rrows = []")
                 em.line("self._rlog = set()")
             for j, node in enumerate(self.shared_nodes):
                 bound = ", ".join(self.shared_bound_cols[id(node)])
@@ -1053,6 +1054,7 @@ class _RelationCompiler:
             em.line("_fa = _F.active")
             em.line(f"{self._row_unpack()} = row")
             self._emit_presence_check()
+            self._emit_range_log()
             with self._rollback(enlist=True):
                 if self.spec.fds:
                     em.line("if not self.enforce_fds:")
@@ -1148,6 +1150,7 @@ class _RelationCompiler:
                     em.line(f"_sh{j} = _sc{j} is not None")
                 if not node.is_unit:
                     em.line(f"_se{j} = False")
+            self._emit_range_log()
             with self._rollback(enlist=True):
                 self._emit_remove_walk(self.decomposition.root, "self._root", set())
                 for j, node in enumerate(self.shared_nodes):
@@ -1292,6 +1295,7 @@ class _RelationCompiler:
                 em.line("for r in victims:")
                 with em.indent():
                     em.line(f"{self._row_unpack()} = r")
+                    self._emit_range_log()
                     for c in sorted(self.resid_safe):
                         i = self.col_index[c]
                         em.line(f"w{i} = ch.get({c!r}, v{i})")
@@ -1396,17 +1400,21 @@ class _RelationCompiler:
         col = next(iter(e0.key))
         root = self.decomposition.root
         cexpr = self._container_expr(root, "self._root", path.edge_indices[0])
+        nested = not e0.child.is_unit
         with self._method(
             "_range_rows(self, lo, hi)",
-            f"Rows with {col!r} in [lo, hi], ascending (group ties by "
-            "row sort key).  Charged as the modelled tree's bounded "
-            "descent — the boundary probes plus one in-order successor "
-            "hop per in-range entry — like every tree-strategy probe "
-            "is charged the modelled log2(n), not the dict's O(1).  "
+            f"Result Tuples with {col!r} in [lo, hi], ascending (group "
+            "ties by row sort key).  Charged as the modelled tree's "
+            "bounded descent — the boundary probes plus one in-order "
+            "successor hop per in-range entry — like every tree-strategy "
+            "probe is charged the modelled log2(n), not the dict's O(1).  "
             "Served from a sorted key snapshot (bisected bounds, "
-            "physical O(log n + k)), repaired first from the root keys "
-            "that writes linked or unlinked since the last range read; "
-            "the charges are identical either way — the cache is a "
+            "physical O(log n + k)) and its parallel list of each root "
+            "key's interned rows, both repaired first from the root keys "
+            "whose rows writes touched since the last range read; only "
+            "the keys in range without rows are walked"
+            + (" (all of them when counted: the walk pays the charges)" if nested else "")
+            + ".  The charges are identical either way — the cache is a "
             "constant-factor device, not a counted-cost one.",
             fresh=True,
         ):
@@ -1426,37 +1434,62 @@ class _RelationCompiler:
             with em.indent():
                 em.line("_z = _i")
             em.line("if en: _C.accesses += _z - _i")
-            em.line("out = []")
-            em.line("for _x in range(_i, _z):")
+            # A cached entry is the key's one Tuple under a unit child, else
+            # the tuple of its group's Tuples in row order.  A nested group
+            # is walked on every counted read: its scans carry the charges.
+            em.line("_rr = self._rrows")
+            em.line("_s = _rr[_i:_z]")
+            build = "en or " if nested else ""
+            em.line(f"if {build}not all(map(_hit, _s)):")
             with em.indent():
-                em.line("k0 = _o[_x][1]")
-                em.line("n0 = c0[k0]")
-                em.line("grp = []")
-                em.line("ap = grp.append")
-                steps = [
-                    ScanStep(e, i)
-                    for e, i in zip(path.edges[1:], path.edge_indices[1:])
-                ]
-                exprs, opened = self._emit_chain(
-                    path, steps, {col: "k0"}, in_loop=True, start=(e0.child, "n0")
-                )
-                self._emit_row(exprs)
-                em.pop(opened)
-                em.line("if len(grp) > 1:")
+                if not nested:
+                    em.line("tc = self._t_cache")
+                    em.line("if len(tc) >= INTERN_BOUND:")
+                    with em.indent():
+                        em.line("tc.clear()")
+                em.line("for _x in range(_i, _z):")
                 with em.indent():
-                    em.line("grp.sort(key=_row_key)")
-                em.line("out.extend(grp)")
-            em.line("return out")
+                    em.line(f"if {build}_rr[_x] is None:")
+                    with em.indent():
+                        em.line("k0 = _o[_x][1]")
+                        em.line("n0 = c0[k0]")
+                        if nested:
+                            em.line("grp = []")
+                            em.line("ap = grp.append")
+                        steps = [
+                            ScanStep(e, i)
+                            for e, i in zip(path.edges[1:], path.edge_indices[1:])
+                        ]
+                        exprs, opened = self._emit_chain(
+                            path, steps, {col: "k0"}, in_loop=True, start=(e0.child, "n0")
+                        )
+                        if nested:
+                            self._emit_row(exprs)
+                            em.pop(opened)
+                            em.line("if len(grp) > 1:")
+                            with em.indent():
+                                em.line("grp.sort(key=_row_key)")
+                            em.line("_rr[_x] = tuple(intern_rows(self._t_cache, _COLS, grp))")
+                        else:
+                            em.line("r = " + self._tuple_literal([exprs[c] for c in self.cols]))
+                            em.line("t = tc.get(r)")
+                            em.line("if t is None:")
+                            with em.indent():
+                                em.line("t = tc[r] = Tuple.from_sorted_items(zip(_COLS, r))")
+                            em.line("_rr[_x] = t")
+                em.line("_s = _rr[_i:_z]")
+            em.line("return list(_chain.from_iterable(_s))" if nested else "return _s")
         with self._method(
             "query_range(self, column, lo=None, hi=None)",
             f"Ordered range scan over {col!r} served by the "
-            f"{e0.structure!r} root index; other columns take the "
-            "interface's filtered-scan fallback.",
+            f"{e0.structure!r} root index, returning its cached result "
+            "Tuples; other columns take the filtered-scan fallback "
+            "(_range_fallback).",
         ):
             em.line(f"if column != {col!r}:")
             with em.indent():
-                em.line("return RelationInterface.query_range(self, column, lo, hi)")
-            em.line("return intern_rows(self._t_cache, _COLS, self._range_rows(_EV(lo), _EV(hi)))")
+                em.line("return self._range_fallback(column, lo, hi)")
+            em.line("return self._range_rows(_EV(lo), _EV(hi))")
 
     def _emit_check_well_formed(self) -> None:
         em = self.em

@@ -19,7 +19,7 @@ from threading import get_ident as _gi
 from ..core.interface import RelationInterface
 from ..core.relation import Relation
 from ..core.tuples import Tuple
-from ..core.values import value_sort_key as _VSK
+from ..core.values import ensure_value, value_sort_key as _VSK, values_sort_key
 from ..structures.base import COUNTER as _C
 
 _MISS = object()
@@ -165,12 +165,14 @@ class CompiledRelation(RelationInterface):
 
 
 def bind_query_boundary(cls, cols, spec, plans, vplans, vcols):
-    """Install ``_pattern_dict``, ``query``, ``_query_rows``, ``_q_fallback``
-    and ``to_relation`` on the generated class *cls*, as closures built once
-    over its sorted columns, specification, dispatch tables (*plans*:
-    frozenset pattern -> ``_q_<mask>``; *vplans*: mask -> ``_qv_<mask>``) and
-    pattern-shape memo *vcols* — so the hot paths read closure cells, never
-    a global or a class attribute."""
+    """Install ``_pattern_dict``, ``query``, ``_query_rows``, ``_q_fallback``,
+    ``_range_fallback`` and ``to_relation`` on the generated class *cls*, as
+    closures built once over its sorted columns, specification, dispatch
+    tables (*plans*: frozenset pattern -> ``_q_<mask>``; *vplans*: mask ->
+    ``_qv_<mask>``) and pattern-shape memo *vcols* — so the hot paths read
+    closure cells, never a global or a class attribute.  A class whose
+    layout has no ordered root emits no ``query_range`` and gets
+    ``_range_fallback`` as its ``query_range`` too."""
     colset = frozenset(cols)
     colindex = {c: i for i, c in enumerate(cols)}
     colbit = {c: 1 << i for i, c in enumerate(cols)}
@@ -293,12 +295,35 @@ def bind_query_boundary(cls, cols, spec, plans, vplans, vcols):
             if ok:
                 yield r
 
+    def _range_fallback(self, column, lo=None, hi=None):
+        """``query_range`` on a column no ordered root serves: the
+        interface default's filtered scan, charged like it (one
+        ``query(None)`` scan), in its order (by *column*'s sort key, then
+        the row's), but over value rows, so only the rows kept are
+        interned."""
+        spec.check_output_columns(column)
+        i = colindex[column]
+        lo_key = _VSK(ensure_value(lo)) if lo is not None else None
+        hi_key = _VSK(ensure_value(hi)) if hi is not None else None
+        kept = []
+        for r in self._qv_0():
+            key = _VSK(r[i])
+            if lo_key is not None and key < lo_key:
+                continue
+            if hi_key is not None and key > hi_key:
+                continue
+            kept.append(r)
+        kept.sort(key=lambda r: (_VSK(r[i]), values_sort_key(r)))
+        return intern_rows(self._t_cache, cols, kept)
+
     def to_relation(self):
         return Relation(cols, [Tuple.from_sorted_items(zip(cols, r)) for r in self._rows_path_0()])
 
-    for fn in (_pattern_dict, query, _query_rows, _q_fallback, to_relation):
+    for fn in (_pattern_dict, query, _query_rows, _q_fallback, _range_fallback, to_relation):
         fn.__qualname__ = f"{cls.__name__}.{fn.__name__}"
         setattr(cls, fn.__name__, fn)
+    if "query_range" not in cls.__dict__:  # No ordered root: every column scans.
+        cls.query_range = _range_fallback
     # ABCMeta fixed the abstract set when the class body ran, before these
     # existed; recompute it (abc.update_abstractmethods, Python 3.10+).
     cls.__abstractmethods__ = frozenset(
@@ -327,24 +352,31 @@ def intern_rows(tc, cols, rows):
 
 def sync_range_snapshot(rel, c0):
     """Bring *rel*'s sorted ``(sort_key, key)`` snapshot of its ordered root
-    container *c0* up to date with the root keys logged in ``rel._rlog``.
+    container *c0*, and the parallel list ``rel._rrows`` of each key's
+    cached result rows, up to date with the root keys logged in
+    ``rel._rlog``.
 
-    Writers add a key to the log as they link it into or unlink it from
-    *c0*, so the log holds every key whose membership may have changed
-    since the last range read, each once.  Each is re-checked against *c0*
-    and bisected into or out of the snapshot: a repair costs one bisection
-    and at most one list insert or delete per logged key, not a diff of
-    all n keys.  A key whose write was rolled back re-checks
-    as unchanged.  Writers stop adding once the log holds more than an
-    eighth of the snapshot's keys; a log that long is replaced by the net
-    change of the whole key set, diffed against the snapshot itself, and
-    only a net change that large too rebuilds the snapshot from *c0*.
-    Charges nothing: the caller charges the modelled tree descent, which
-    is the same whether or not the snapshot was stale.
+    Writers log the range key of every row they insert, remove or rewrite,
+    before their first change to it, so the log holds every key whose
+    membership or rows may have changed since the last range read, each
+    once.  Each is re-checked against *c0* and bisected into or out of the
+    snapshot, and a key still present has its cached rows dropped (set to
+    ``None``, rebuilt by the next read that covers it): a repair costs one
+    bisection and at most one list insert or delete per logged key, not a
+    diff of all n keys.  A key whose write was rolled back re-checks as
+    present or absent as before and is only rebuilt.  Writers stop adding
+    once the log holds more than an eighth of the snapshot's keys; a log
+    that long is replaced by the net change of the whole key set, diffed
+    against the snapshot itself, and only a net change that large too
+    rebuilds the snapshot from *c0*.  Past that bound writers logged no
+    row changes either, so every cached row is dropped.  Charges nothing:
+    the caller charges the modelled tree descent, which is the same
+    whether or not the snapshot was stale.
     """
     log = rel._rlog
     bound = len(rel._rkeys) >> 3
-    if len(log) > bound:
+    overflowed = len(log) > bound
+    if overflowed:
         log = c0.keys() ^ {p[1] for p in rel._rord}
     if len(log) > bound:
         o = [(_VSK(k), k) for k in c0]
@@ -354,6 +386,7 @@ def sync_range_snapshot(rel, c0):
     else:
         o = rel._rord
         ks = rel._rkeys
+        rr = rel._rrows
         for k in log:
             kk = _VSK(k)
             ix = _bl(ks, kk)
@@ -367,10 +400,16 @@ def sync_range_snapshot(rel, c0):
                 ix += 1
             held = ix < len(ks) and ks[ix] == kk
             if k in c0:
-                if not held:
+                if held:
+                    rr[ix] = None
+                else:
                     o.insert(ix, (kk, k))
                     ks.insert(ix, kk)
+                    rr.insert(ix, None)
             elif held:
                 del o[ix]
                 del ks[ix]
+                del rr[ix]
+    if overflowed:
+        rel._rrows = [None] * len(rel._rord)
     rel._rlog = set()

@@ -126,7 +126,9 @@ class RelationInterface(abc.ABC):
 
         This default filters and sorts a full ``query``; representations
         whose layout keeps an **ordered** index on *column* (e.g. an
-        ``avl`` root edge) override it with a bounded range descent.
+        ``avl`` root edge) override it with a bounded range descent, and
+        compiled classes run the same filter over their value rows, so
+        they build Tuples only for the rows kept.
         """
         spec = getattr(self, "spec", None)
         if spec is not None:

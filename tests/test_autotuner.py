@@ -501,6 +501,17 @@ class TestCompiledScoring:
         after = codegen_cache_stats()
         assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
 
+    def test_one_tune_profiles_the_trace_once(self, monkeypatch):
+        """The tuner hands its profile to every candidate's exact replay."""
+        workload = WORKLOADS["ordered_scan"](QUICK_SCALE)
+        trace = Trace.from_workload(workload)
+        calls = []
+        profile = Trace.profile
+        monkeypatch.setattr(Trace, "profile", lambda self: calls.append(self) or profile(self))
+        result = autotune(workload.spec, trace)
+        assert len(result.replayed) > 1
+        assert len(calls) == 1
+
 
 class TestSynthesize:
     def test_synthesize_returns_equivalent_compiled_class(self, small_scheduler):

@@ -9,6 +9,9 @@ step, asserting after each **survived** fault that
 * the faulted operation rolled back completely (α unchanged),
 * the disarmed retry succeeds and agrees with the reference mirror,
 * the instance stays well-formed (Figure 5),
+* on an ordered-root layout, every range read returns the mirror's
+  ordered list (the compiled tier serves cached rows that each write
+  must invalidate),
 
 and that the :class:`~repro.live.LiveRelation` self-healing loop survives
 an injected failure at every re-tune / migration stage: the old backing
@@ -55,8 +58,18 @@ QUICKSTART_LAYOUT = (
     "[ns -> htable pid -> btree {state, cpu} ; state -> htable (ns, pid -> dlist {cpu})]"
 )
 
+#: Quickstart with an ordered ``ns`` root: compiled range reads on ``ns``
+#: serve cached result rows, which every write of a row must invalidate.
+ORDERED_LAYOUT = (
+    "[ns -> btree pid -> htable {state, cpu} ; state -> htable (ns, pid -> dlist {cpu})]"
+)
+
 COLUMNS = ("ns", "pid", "state", "cpu")
 DOMAINS = {"ns": [0, 1, 2], "pid": [0, 1, 2, 3], "state": ["R", "S", "W"], "cpu": [0, 1]}
+#: The ordered layout's domains: 16 root keys, so a range read's log of one
+#: or two written keys repairs the cached rows in place (past an eighth of
+#: the keys the log overflows and every cached row is dropped).
+ORDERED_DOMAINS = dict(DOMAINS, ns=list(range(16)))
 
 #: Site prefixes that can actually fire per tier (the sweep arms *every*
 #: registered site; these are the ones whose firing we assert coverage of).
@@ -80,13 +93,13 @@ def make_tier(tier, enforce_fds, layout):
     return compile_relation(spec, layout)(enforce_fds=enforce_fds)
 
 
-def random_full_tuple(rng):
-    return Tuple({c: rng.choice(DOMAINS[c]) for c in COLUMNS})
+def random_full_tuple(rng, domains=DOMAINS):
+    return Tuple({c: rng.choice(domains[c]) for c in COLUMNS})
 
 
-def random_pattern(rng, max_columns=3):
+def random_pattern(rng, max_columns=3, domains=DOMAINS):
     chosen = rng.sample(COLUMNS, k=rng.randint(0, max_columns))
-    return Tuple({c: rng.choice(DOMAINS[c]) for c in chosen})
+    return Tuple({c: rng.choice(domains[c]) for c in chosen})
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +160,8 @@ def _faulted(mutate, relation, alpha_before):
         pytest.param("compiled", SHARED_LAYOUT, id="compiled"),
         pytest.param("interpreted", QUICKSTART_LAYOUT, id="interpreted-quickstart"),
         pytest.param("compiled", QUICKSTART_LAYOUT, id="compiled-quickstart"),
+        pytest.param("interpreted", ORDERED_LAYOUT, id="interpreted-ordered"),
+        pytest.param("compiled", ORDERED_LAYOUT, id="compiled-ordered"),
     ],
 )
 def test_chaos_differential(tier, layout, enforce_fds):
@@ -154,8 +169,16 @@ def test_chaos_differential(tier, layout, enforce_fds):
 
     Sites cycle through the *entire* registry (so every site is swept) with
     the target hit index deepening on every full cycle — later hits land at
-    interleaving points deeper inside multi-branch walks.
+    interleaving points deeper inside multi-branch walks.  On the ordered
+    layout ``ns`` takes 16 values, every write is followed by a range read
+    on ``ns`` compared in order (so the log a read repairs from is short),
+    half of the updates change only ``cpu`` (in place on the compiled
+    tier), and a step arming a ``codegen.update.*`` site draws an update;
+    the other layouts do none of this, so their random streams are
+    unchanged.
     """
+    ranges = layout == ORDERED_LAYOUT
+    domains = ORDERED_DOMAINS if ranges else DOMAINS
     rng = random.Random(0xFA117 + (1 if enforce_fds else 0))
     relation = make_tier(tier, enforce_fds, layout)
     mirror = ReferenceRelation(scheduler_spec(), enforce_fds=enforce_fds)
@@ -165,22 +188,27 @@ def test_chaos_differential(tier, layout, enforce_fds):
         site = sites[step % len(sites)]
         on_hit = (step // len(sites)) % 3 + 1
         roll = rng.random()
+        if ranges and site.startswith("codegen.update."):
+            roll = 0.75  # Aim the armed update site at an update.
         alpha_before = mirror.to_relation()
 
         FAULTS.arm(site, on_hit)
         try:
             if roll < 0.45:
-                tup = random_full_tuple(rng)
+                tup = random_full_tuple(rng, domains)
                 op = lambda r: r.insert(tup)  # noqa: E731
             elif roll < 0.65:
-                pattern = random_pattern(rng)
+                pattern = random_pattern(rng, domains=domains)
                 op = lambda r: r.remove(pattern)  # noqa: E731
             elif roll < 0.85:
-                pattern = random_pattern(rng, max_columns=2)
-                changes = random_pattern(rng, max_columns=2)
+                pattern = random_pattern(rng, max_columns=2, domains=domains)
+                if ranges and rng.random() < 0.5:  # In place: rewrites cached rows.
+                    changes = Tuple(cpu=rng.choice(domains["cpu"]))
+                else:
+                    changes = random_pattern(rng, max_columns=2, domains=domains)
                 op = lambda r: r.update(pattern, changes)  # noqa: E731
             else:
-                pattern = random_pattern(rng)
+                pattern = random_pattern(rng, domains=domains)
                 output = rng.sample(COLUMNS, k=rng.randint(1, 4))
                 try:
                     got = relation.query(pattern, output)
@@ -206,6 +234,11 @@ def test_chaos_differential(tier, layout, enforce_fds):
         assert relation.to_relation() == mirror.to_relation(), (
             f"[{tier}] α diverged from the mirror at step {step} (site {site!r})"
         )
+        if ranges:
+            lo, hi = (rng.choice(domains["ns"] + [None]) for _ in range(2))
+            assert relation.query_range("ns", lo, hi) == mirror.query_range("ns", lo, hi), (
+                f"[{tier}] range [{lo!r}, {hi!r}] diverged at step {step} (site {site!r})"
+            )
         if step % 100 == 0 or step == CHAOS_OPS - 1:
             check = getattr(relation, "check_well_formed", None)
             if check is not None:
@@ -225,6 +258,9 @@ def test_chaos_differential(tier, layout, enforce_fds):
         f"[{tier}] sweep fired only {sorted(relevant)} of its own sites "
         f"(all fired: {sorted(fired)})"
     )
+    if tier == "compiled" and ranges:
+        assert "codegen.update.in_place" in fired, sorted(fired)
+        assert any(s.startswith("codegen.remove.") for s in fired), sorted(fired)
     if tier == "interpreted" and layout == QUICKSTART_LAYOUT:
         for container in ("dlist", "avl"):
             assert any(s.startswith(f"structures.{container}.") for s in fired), (

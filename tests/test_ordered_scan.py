@@ -17,10 +17,11 @@ at every layer:
   compiled tier both;
 * equal numbers of different types (``0``, ``0.0``, ``False``) — one key
   on every tier, with fractional bounds ordered numerically;
-* the compiled tier's range snapshot — repaired from the root keys that
-  writes linked or unlinked, the log bounded, and the snapshot equal to a
-  full rebuild after every range read, with faults injected into the
-  writes.
+* the compiled tier's range snapshot and its cache of result rows —
+  repaired from the root keys whose rows writes touched, the log bounded,
+  the snapshot equal to a full rebuild and every cached row equal to the
+  stored rows after every range read, with faults injected into the
+  writes; an unwritten key's cached rows are served as the same objects.
 """
 
 import random
@@ -30,6 +31,7 @@ import pytest
 from repro.codegen import compile_relation
 from repro.core import ReferenceRelation, RelationSpec, Tuple
 from repro.core.errors import FaultInjected, FunctionalDependencyError
+from repro.core.interface import RelationInterface
 from repro.core.values import value_sort_key
 from repro.decomposition import DecomposedRelation
 from repro.faults import FAULTS, fault_sites
@@ -213,6 +215,37 @@ class TestQueryRangeDifferential:
                 tier.query_range("nope", 0, 1)
 
 
+class TestRangeFallback:
+    """A compiled class with no ordered root scans value rows for a range
+    read: the interface default's rows, order and charges, interning only
+    the rows in range."""
+
+    def filled(self):
+        relation = compile_relation(SPEC, LAYOUTS["hash-root"])()
+        for ts in range(72):
+            relation.insert(Tuple(ts=ts, sensor=SENSORS[ts % 3], reading=ts % 50))
+        return relation
+
+    def test_interns_only_the_rows_in_range(self):
+        relation = self.filled()
+        rows = relation.query_range("ts", 10, 19)
+        assert [row["ts"] for row in rows] == list(range(10, 20))
+        assert len(relation._t_cache) == len(rows)
+
+    @pytest.mark.parametrize(
+        "column, lo, hi", [("ts", 10, 19), ("reading", 5, 9), ("sensor", None, None)]
+    )
+    def test_agrees_with_the_interface_default(self, column, lo, hi):
+        relation = self.filled()
+        with COUNTER:
+            rows = relation.query_range(column, lo, hi)
+            charged = COUNTER.accesses
+        with COUNTER:
+            assert rows == RelationInterface.query_range(relation, column, lo, hi)
+            assert COUNTER.accesses == charged
+        assert rows
+
+
 class TestOrderedIndexAsymptotics:
     def populate(self, layout, n=256):
         relation = (
@@ -309,10 +342,26 @@ def mixed_tiers(layout):
 
 def snapshot_is_fresh(relation):
     """The compiled range snapshot equals a full rebuild from the ordered
-    root container (the first branch's, under a branching root)."""
+    root container (the first branch's, under a branching root), and its
+    row cache is aligned with it: every built entry holds the rows stored
+    under its key, in order (one Tuple for a unit child, a tuple of Tuples
+    otherwise)."""
     root = relation._root
     container = root if isinstance(root, dict) else root[0]
-    return relation._rkeys == sorted(map(value_sort_key, container))
+    if relation._rkeys != sorted(map(value_sort_key, container)):
+        return False
+    if len(relation._rrows) != len(relation._rord):
+        return False
+    stored = {}
+    for row in relation.to_relation():
+        stored.setdefault(row["ts"], []).append(row)
+    for (_, key), cached in zip(relation._rord, relation._rrows):
+        if cached is None:
+            continue
+        rows = [cached] if isinstance(cached, Tuple) else list(cached)
+        if rows != sorted(stored[key], key=Tuple.sort_key):
+            return False
+    return True
 
 
 def log_is_bounded(relation):
@@ -497,22 +546,70 @@ class TestRangeSnapshotKeyLog:
         assert compiled.query_range("ts", 6, 8) == tiers["reference"].query_range("ts", 6, 8)
         assert compiled._rord is snapshot and snapshot_is_fresh(compiled)
 
-    def test_writes_that_keep_the_root_keys_log_nothing(self):
-        """A residual-only update, and an insert or remove under a root key
-        that stays present, leave the root key set and the log alone."""
-        tiers = self.fill()
+    def assert_rebuilds_only(self, tiers, key):
+        """*key* alone is logged; the next full read matches the reference,
+        repairs the snapshot in place and rebuilds *key*'s cached rows
+        only, every other entry being the same object as before."""
         compiled = tiers["compiled"]
+        assert compiled._rlog == {key}
+        snapshot, before = compiled._rord, dict(zip(compiled._rord, compiled._rrows))
+        assert compiled.query_range("ts") == tiers["reference"].query_range("ts")
+        assert compiled._rord is snapshot, "a short log repairs in place"
+        assert snapshot_is_fresh(compiled)
+        for entry, rows in zip(compiled._rord, compiled._rrows):
+            if entry[1] == key:
+                assert rows is not before[entry], "the written key's rows are rebuilt"
+            else:
+                assert rows is before[entry], f"rows of unwritten key {entry[1]!r} rebuilt"
+
+    def test_writes_that_keep_the_root_key_log_it(self):
+        """A residual-only update, and an insert or remove under a root key
+        that stays present, keep the root key set but change that key's
+        rows: each logs the key, and the next read rebuilds its rows."""
+        tiers = self.fill()
         apply_all(lambda tier: tier.update(Tuple(ts=3), Tuple(reading=99)), tiers)
-        assert compiled._rlog == set()
-        assert compiled.query_range("ts", 3, 3) == tiers["reference"].query_range("ts", 3, 3)
+        self.assert_rebuilds_only(tiers, 3)
         tiers = mixed_tiers("nested")
         compiled = tiers["compiled"]
-        apply_all(lambda tier: tier.insert(Tuple(ts=1, v=1)), tiers)
+        for ts in range(16):  # An eighth of 16 keys: a log of 2 keys fits.
+            apply_all(lambda tier: tier.insert(Tuple(ts=ts, v=ts)), tiers)
         compiled.query_range("ts")
-        apply_all(lambda tier: tier.insert(Tuple(ts=1, v=2)), tiers)
+        apply_all(lambda tier: tier.insert(Tuple(ts=1, v=20)), tiers)
+        self.assert_rebuilds_only(tiers, 1)
         apply_all(lambda tier: tier.remove(Tuple(ts=1, v=1)), tiers)
-        assert compiled._rlog == set()
-        apply_all(lambda tier: tier.remove(Tuple(ts=1, v=2)), tiers)
+        self.assert_rebuilds_only(tiers, 1)
+        apply_all(lambda tier: tier.remove(Tuple(ts=1, v=20)), tiers)
         assert compiled._rlog == {1}
+        expected = tiers["reference"].query_range("ts")
+        assert [row["ts"] for row in expected] == [0] + list(range(2, 16))
         for name, tier in tiers.items():
-            assert tier.query_range("ts") == [], name
+            assert tier.query_range("ts") == expected, name
+
+    @pytest.mark.parametrize("layout", sorted(MIXED_LAYOUTS))
+    def test_reads_without_writes_return_the_same_rows(self, layout):
+        tiers = mixed_tiers(layout)
+        for ts in (0, 1, 2, 3, 5):
+            apply_all(lambda tier: tier.insert(Tuple(ts=ts, v=ts)), tiers)
+            apply_all(lambda tier: tier.insert(Tuple(ts=ts, v=ts + 1)), tiers)
+        compiled = tiers["compiled"]
+        first = compiled.query_range("ts", 1, 3)
+        second = compiled.query_range("ts", 1, 3)
+        assert first == tiers["reference"].query_range("ts", 1, 3)
+        assert first is not second, "each read returns its own list"
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second)), "cached rows are served"
+
+    def test_overflowed_log_drops_every_cached_row(self):
+        """Residual-only updates to more keys than the bound overflow the
+        log, after which writers log no row changes; the key set is
+        unchanged, so the read repairs the snapshot in place but must
+        rebuild every key's rows."""
+        tiers = self.fill()
+        compiled = tiers["compiled"]
+        bound = len(compiled._rkeys) >> 3
+        for ts in range(3 * bound):
+            apply_all(lambda tier: tier.update(Tuple(ts=ts), Tuple(reading=-ts)), tiers)
+        assert len(compiled._rlog) == bound + 1
+        snapshot = compiled._rord
+        assert compiled.query_range("ts") == tiers["reference"].query_range("ts")
+        assert compiled._rord is snapshot and snapshot_is_fresh(compiled)
